@@ -10,7 +10,6 @@ run is reproducible from (config, seed) alone.
 """
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -400,28 +399,21 @@ def check_context(seed: int, name: str, **grid_params) -> IdentityContext:
                            **grid_params)
 
 
-def run_identity_battery(seed: int = 0, jobs: int = 1,
-                         names: "list[str] | None" = None,
+def run_identity_battery(seed: int = 0, names: "list[str] | None" = None,
                          **grid_params) -> dict:
     """Run the battery; returns {name: {error, tol, pass}} in battery order.
 
     Each check draws from its own child generator keyed by (seed, name) (see
     `check_context`), so its draws are determined by that pair, and results
-    are independent of execution order and of `jobs`.  The reported errors
-    are rounding-level and can coincide across seeds, often at exactly 0.0,
-    so they do not identify the draws.
+    are independent of execution order.  The reported errors are
+    rounding-level and can coincide across seeds, often at exactly 0.0, so
+    they do not identify the draws.
     """
-    chosen = [c for c in BATTERY if names is None or c.name in names]
-
-    def one(check: IdentityCheck) -> tuple:
-        ctx = check_context(seed, check.name, **grid_params)
-        err = float(check.run(ctx))
-        return check.name, {"error": err, "tol": check.tol,
-                            "pass": bool(err <= check.tol)}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, chosen))
-    else:
-        rows = [one(c) for c in chosen]
-    return dict(rows)
+    out = {}
+    for check in BATTERY:
+        if names is not None and check.name not in names:
+            continue
+        err = float(check.run(check_context(seed, check.name, **grid_params)))
+        out[check.name] = {"error": err, "tol": check.tol,
+                           "pass": bool(err <= check.tol)}
+    return out

@@ -15,25 +15,22 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checks import run_identity_battery
-from .grids import Grid, LineGrid, group_grid, self_dual_line
+from .grids import Grid, LineGrid, _is_pow2, group_grid, self_dual_line
 from .inversion import (
     SIGMA_FLOOR,
     FiberInversionError,
-    InversionResult,
-    SymmetryError,
     derivative_report,
     invert_flag,
     uniform_invertibility_report,
     verify_inverse,
 )
-from .kernels import CATALOG, KernelParseError, make_spectrum
+from .kernels import CATALOG, make_spectrum
 from .symbols import flag_estimate_report
 
 EXIT_OK = 0
@@ -44,10 +41,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _is_pow2(k: int) -> bool:
-    return isinstance(k, int) and k >= 2 and (k & (k - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,9 @@ class ExperimentConfig:
     cond_limit: float = 1e8
     sigma_floor: float = SIGMA_FLOOR
     residual_tol: float = 1e-6
-    mode: str = "reduce"
+    strict_symmetric: bool = False
     draws: int = 20
     seed: int = 0
-    jobs: int = 1
     out: "str | None" = None
 
     def validate(self) -> None:
@@ -91,10 +83,6 @@ class ExperimentConfig:
                               "the band excludes 0")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.mode not in ("reduce", "direct", "strict"):
-            raise ConfigError(f"unknown inversion mode {self.mode!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not (0 < self.rmin < self.rmax):
             raise ConfigError("need 0 < rmin < rmax")
         if self.shells < 3 or self.directions < 1:
@@ -139,7 +127,7 @@ class ExperimentConfig:
 
 
 def load_config(path: "str | None", overrides: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    data: dict = {}
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
@@ -149,15 +137,11 @@ def load_config(path: "str | None", overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = set(cfg.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = replace(cfg, **data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-    cfg = replace(cfg, **overrides)
+    data = {**data, **overrides}
+    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = replace(ExperimentConfig(), **data)
     cfg.validate()
     return cfg
 
@@ -189,14 +173,12 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             over["lambda_max"] = float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad --lambda-band value: {exc}") from exc
-    if getattr(args, "jobs", None) is not None:
-        over["jobs"] = args.jobs
     if getattr(args, "out", None) is not None:
         over["out"] = args.out
     if getattr(args, "seed", None) is not None:
         over["seed"] = args.seed
     if getattr(args, "strict_symmetric", False):
-        over["mode"] = "strict"
+        over["strict_symmetric"] = True
     return over
 
 
@@ -229,7 +211,7 @@ def _print_table(rows: "list[tuple[str, str]]") -> None:
 
 def cmd_identities(cfg: ExperimentConfig) -> int:
     results = run_identity_battery(
-        seed=cfg.seed, jobs=cfg.jobs, n=cfg.n, v_count=cfg.v_count,
+        seed=cfg.seed, n=cfg.n, v_count=cfg.v_count,
         v_half_width=cfg.v_half_width, t_count=cfg.t_count,
         t_half_width=cfg.t_half_width, state_count=cfg.state_count,
         draws=cfg.draws)
@@ -282,35 +264,13 @@ def cmd_estimates(cfg: ExperimentConfig) -> int:
     return status
 
 
-def _invert_all(cfg: ExperimentConfig, spec, lams) -> InversionResult:
-    grid = cfg.state()
-    if cfg.jobs <= 1 or len(lams) <= 1:
-        return invert_flag(spec, lams, grid, mode=cfg.mode,
-                           cond_limit=cfg.cond_limit,
-                           sigma_floor=cfg.sigma_floor)
-
-    def one(lam):
-        return invert_flag(spec, [lam], grid, mode=cfg.mode,
-                           cond_limit=cfg.cond_limit,
-                           sigma_floor=cfg.sigma_floor)
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        parts = list(pool.map(one, lams))
-    merged = InversionResult(grid, cfg.mode, cfg.cond_limit, cfg.sigma_floor,
-                             spec=spec)
-    for part in parts:
-        merged.rows.extend(part.rows)
-        merged.fibers.update(part.fibers)
-    return merged
-
-
 def cmd_invert(cfg: ExperimentConfig) -> int:
-    spec = cfg.spectrum()
-    lams = cfg.lam_values()
-    res = _invert_all(cfg, spec, lams)
-    uniform = uniform_invertibility_report(spec, lams, cfg.state())
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state(),
+                      cond_limit=cfg.cond_limit, sigma_floor=cfg.sigma_floor,
+                      strict=cfg.strict_symmetric)
+    uniform = uniform_invertibility_report(res)
     deriv = derivative_report(res, m_max=max(cfg.beta_max, 1))
-    verification = verify_inverse(res, spec)
+    verification = verify_inverse(res)
     worst_glue = max(row["glue_error"] for row in verification.values())
 
     if not res.uniformly_invertible:
@@ -406,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'v_count,v_half_width,t_count,t_half_width'")
         p.add_argument("--lambda-band", dest="lambda_band",
                        help="'min:max', positive; scanned at signed dyadics")
-        p.add_argument("--jobs", type=int, help="worker thread bound")
         p.add_argument("--out", help="artifact directory")
         p.add_argument("--seed", type=int, help="randomized-check seed")
         p.add_argument("--strict-symmetric", action="store_true",
@@ -433,15 +392,14 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, KernelParseError, SymmetryError) as exc:
+    except (FiberInversionError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:
+        # ConfigError, KernelParseError, SymmetryError and any parameter
+        # the library rejects; LinAlgError is a ValueError too, caught above
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FiberInversionError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def _is_pow2(k: int) -> bool:
+    # a float such as a JSON 64.0 is not a point count
+    return isinstance(k, (int, np.integer)) and k >= 2 and (k & (k - 1)) == 0
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Fiberwise inversion of flag symbols and the reconstructed inverse family.
 
 The pipeline samples a symbol family along each requested fiber, quantizes,
-inverts the matrix, and reads the inverse symbol back off. The per-fiber
-diagnostics (smallest singular value, condition number, two-sided residuals)
-decide whether the family is uniformly invertible: a fiber can be perfectly
-invertible as a matrix while its symbol vanishes on the flag boundary, so
-uniformity is judged against an absolute singular-value floor rather than
-the condition limit alone.
+inverts the matrix through one SVD, and reads the inverse symbol back off.
+That SVD also gives the per-fiber diagnostics (extreme singular values,
+condition number); the uniformity report, the derivative scan and the
+verification read them, and the inverses, off the one `InversionResult`
+instead of factorizing a fiber again. Together with the two-sided
+residuals the diagnostics decide whether the family is uniformly
+invertible: a fiber can be perfectly invertible as a matrix while its
+symbol vanishes on the flag boundary, so uniformity is judged against an
+absolute singular-value floor rather than the condition limit alone.
 
 The collected inverse tables glue to a new symbol family on covariable
 space through the inverse parabolic frame map; that family supports the
@@ -26,7 +29,7 @@ import numpy as np
 
 from .finitediff import stencil
 from .grids import LineGrid
-from .schrodinger import FiberOperator, gramian, hs_norm, operator_norm, save_operator
+from .schrodinger import FiberOperator, gramian, hs_norm, save_operator
 from .transform import convolve
 from .symbols import (
     Spectrum,
@@ -56,7 +59,7 @@ class FiberInversionError(RuntimeError):
 
 
 class SymmetryError(ValueError):
-    """Strict mode was asked to invert a non-Hermitian fiber."""
+    """A strict inversion was asked to invert a non-Hermitian fiber."""
 
 
 def fiber_table(spec, lam: float, grid: LineGrid) -> SymbolGrid:
@@ -68,34 +71,27 @@ def fiber_table(spec, lam: float, grid: LineGrid) -> SymbolGrid:
 
 
 def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
-                 mode: str = "reduce") -> tuple[FiberOperator, float, float]:
+                 strict: bool = False) -> tuple[FiberOperator, float, float]:
     """Invert one fiber operator; returns (inverse, sigma_min, cond).
 
-    "direct" inverts through the SVD, "reduce" solves the Hermitian gram
-    system H = A*A and recombines B = H^{-1} A* (algebraically A^{-1}),
-    "strict" requires a Hermitian matrix and inverts its eigensystem.
+    One SVD A = U diag(sigma) V* gives both the diagnostics and the inverse
+    B = V diag(1/sigma) U*, whose residual grows like cond * eps (solving
+    the normal equations A*A would square that). `strict` first requires a
+    Hermitian matrix.
     """
     m = a.matrix
-    sv = np.linalg.svd(m, compute_uv=False)
-    sigma_min = float(sv[-1])
-    cond = float(sv[0] / sv[-1]) if sigma_min > 0 else np.inf
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise FiberInversionError(a.lam, sigma_min, cond, cond_limit)
-    if mode == "direct":
-        inv = np.linalg.inv(m)
-    elif mode == "reduce":
-        gram = m.conj().T @ m
-        inv = np.linalg.solve(gram, m.conj().T)
-    elif mode == "strict":
+    if strict:
         skew = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300)
         if skew > 1e-10:
             raise SymmetryError(
                 f"fiber at lam={a.lam:g} is not Hermitian "
                 f"(relative skew {skew:.3e})")
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        inv = (v / w[None, :]) @ v.conj().T
-    else:
-        raise ValueError(f"unknown inversion mode {mode!r}")
+    u, sv, vh = np.linalg.svd(m)
+    sigma_min = float(sv[-1])
+    cond = float(sv[0] / sv[-1]) if sigma_min > 0 else np.inf
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise FiberInversionError(a.lam, sigma_min, cond, cond_limit)
+    inv = (vh.conj().T / sv) @ u.conj().T
     return FiberOperator(a.lam, a.grid, inv), sigma_min, cond
 
 
@@ -120,6 +116,7 @@ def neumann_inverse(a: SymbolGrid, k_max: int = 20) -> tuple[SymbolGrid, float]:
 class FiberRow:
     lam: float
     sigma_min: float
+    sigma_max: float
     cond: float
     symbol_min: float
     inverse_op_norm: float
@@ -133,7 +130,6 @@ class FiberRow:
 @dataclass
 class InversionResult:
     grid: LineGrid
-    mode: str
     cond_limit: float
     sigma_floor: float
     rows: list = field(default_factory=list)
@@ -158,7 +154,6 @@ class InversionResult:
 
     def summary(self) -> dict:
         return {
-            "mode": self.mode,
             "cond_limit": self.cond_limit,
             "sigma_floor": self.sigma_floor,
             "uniformly_invertible": self.uniformly_invertible,
@@ -168,6 +163,7 @@ class InversionResult:
                 {
                     "lam": r.lam,
                     "sigma_min": r.sigma_min,
+                    "sigma_max": r.sigma_max,
                     "cond": r.cond,
                     "symbol_min": r.symbol_min,
                     "inverse_op_norm": r.inverse_op_norm,
@@ -199,7 +195,7 @@ class InversionResult:
     def spectrum(self, policy: str = "edge") -> "ReconstructedSpectrum":
         if self.spec is None:
             raise ValueError("result was built without a source family")
-        recon = ReconstructedSpectrum(self.spec, self.grid, mode=self.mode,
+        recon = ReconstructedSpectrum(self.spec, self.grid,
                                       cond_limit=self.cond_limit, policy=policy)
         for lam, b in self.fibers.items():
             recon._tables[lam] = kn_symbol_of(b)
@@ -223,36 +219,38 @@ class InversionResult:
         return written
 
 
-def invert_flag(spec, lam_values, grid: LineGrid, mode: str = "reduce",
-                cond_limit: float = 1e8,
-                sigma_floor: float = SIGMA_FLOOR) -> InversionResult:
+def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
+                sigma_floor: float = SIGMA_FLOOR,
+                strict: bool = False) -> InversionResult:
     """Invert every requested fiber and collect the diagnostics.
 
     A fiber counts as invertible when its smallest singular value clears
     `sigma_floor`; the condition limit only guards the arithmetic. The two
     gates differ exactly on symbols that vanish somewhere: those stay
     numerically invertible at any lattice size but have no inverse in the
-    symbol class, and the floor is what detects them.
+    symbol class, and the floor is what detects them. `strict` requires a
+    family declared symmetric and Hermitian fibers.
     """
-    if mode == "strict" and not getattr(spec, "symmetric", False):
+    if strict and not getattr(spec, "symmetric", False):
         raise SymmetryError(
-            "strict mode needs a family declared symmetric; "
+            "strict inversion needs a family declared symmetric; "
             "this one is not")
-    out = InversionResult(grid=grid, mode=mode, cond_limit=cond_limit,
+    out = InversionResult(grid=grid, cond_limit=cond_limit,
                           sigma_floor=sigma_floor, spec=spec)
     eye = np.eye(grid.size)
     for lam in lam_values:
         lam = float(lam)
         table = fiber_table(spec, lam, grid)
         a = kn_quantize(table)
-        b, sigma_min, cond = invert_fiber(a, cond_limit, mode)
-        rr = np.linalg.norm(a.matrix @ b.matrix - eye, 2)
+        b, sigma_min, cond = invert_fiber(a, cond_limit, strict)
+        ab = a.matrix @ b.matrix
+        rr = np.linalg.norm(ab - eye, 2)
         rl = np.linalg.norm(b.matrix @ a.matrix - eye, 2)
-        prod = kn_symbol_of(FiberOperator(lam, grid, a.matrix @ b.matrix))
+        prod = kn_symbol_of(FiberOperator(lam, grid, ab))
         out.rows.append(FiberRow(
-            lam=lam, sigma_min=sigma_min, cond=cond,
+            lam=lam, sigma_min=sigma_min, sigma_max=sigma_min * cond, cond=cond,
             symbol_min=float(np.min(np.abs(table.values))),
-            inverse_op_norm=operator_norm(b), inverse_hs_norm=hs_norm(b),
+            inverse_op_norm=1.0 / sigma_min, inverse_hs_norm=hs_norm(b),
             residual_right=float(rr), residual_left=float(rl),
             residual_sup=float(np.max(np.abs(prod.values - 1.0))),
             invertible=sigma_min >= sigma_floor))
@@ -260,30 +258,20 @@ def invert_flag(spec, lam_values, grid: LineGrid, mode: str = "reduce",
     return out
 
 
-def uniform_invertibility_report(spec, lam_values, grid: LineGrid) -> dict:
-    """Per-fiber smallest singular values and the frame-constant summary.
+def uniform_invertibility_report(result: InversionResult) -> dict:
+    """Per-fiber singular values and the frame-constant summary of a run.
 
     The minimum over fibers is the empirical lower frame constant: the
     factor c in ||K * f||_2 >= c ||f||_2 once the fibers are glued back.
-    No inversion happens here, only singular values.
+    A view of `result.rows`; nothing is quantized or factorized here.
     """
-    rows = []
-    for lam in lam_values:
-        lam = float(lam)
-        table = fiber_table(spec, lam, grid)
-        sv = np.linalg.svd(kn_quantize(table).matrix, compute_uv=False)
-        rows.append({
-            "lam": lam,
-            "sigma_min": float(sv[-1]),
-            "sigma_max": float(sv[0]),
-            "inverse_norm": float(1.0 / sv[-1]) if sv[-1] > 0 else np.inf,
-            "symbol_min": float(np.min(np.abs(table.values))),
-        })
-    sigmas = [r["sigma_min"] for r in rows]
+    rows = [{"lam": r.lam, "sigma_min": r.sigma_min, "sigma_max": r.sigma_max,
+             "inverse_norm": r.inverse_op_norm, "symbol_min": r.symbol_min}
+            for r in result.rows]
     return {
         "rows": rows,
-        "frame_constant": min(sigmas),
-        "max_inverse_norm": max(r["inverse_norm"] for r in rows),
+        "frame_constant": min(r.sigma_min for r in result.rows),
+        "max_inverse_norm": result.uniform_bound,
     }
 
 
@@ -332,12 +320,11 @@ class ReconstructedSpectrum(Spectrum):
     `clipped_rows`.
     """
 
-    def __init__(self, spec, grid: LineGrid, mode: str = "reduce",
-                 cond_limit: float = 1e8, policy: str = "edge"):
+    def __init__(self, spec, grid: LineGrid, cond_limit: float = 1e8,
+                 policy: str = "edge"):
         super().__init__(grid.dim, symmetric=False)
         self.base = spec
         self.grid = grid
-        self.mode = mode
         self.cond_limit = cond_limit
         self.policy = policy
         self.clipped_rows = 0
@@ -348,7 +335,7 @@ class ReconstructedSpectrum(Spectrum):
         tab = self._tables.get(lam)
         if tab is None:
             a = kn_quantize(fiber_table(self.base, lam, self.grid))
-            b, _, _ = invert_fiber(a, self.cond_limit, self.mode)
+            b, _, _ = invert_fiber(a, self.cond_limit)
             tab = kn_symbol_of(b)
             self._tables[lam] = tab
         return tab
@@ -393,20 +380,18 @@ class GramSpectrum(Spectrum):
             "gram fibers exist only as tables; sample with fiber_table")
 
 
-def verify_inverse(result: InversionResult, spec, recon: "ReconstructedSpectrum | None" = None) -> dict:
+def verify_inverse(result: InversionResult) -> dict:
     """Two-sided operator residuals plus the reconstruction round trip.
 
     The round trip compares the fiber symbol of the glued inverse family
-    against the inverse table read directly off each fiber; at lattice
-    coincidences the two agree to rounding when the gluing is consistent.
+    `result.spectrum()` against the inverse table read directly off each
+    fiber; at lattice coincidences the two agree to rounding when the
+    gluing is consistent.
     """
-    if recon is None:
-        recon = ReconstructedSpectrum(spec, result.grid, mode=result.mode,
-                                      cond_limit=result.cond_limit)
+    recon = result.spectrum()
     report = {}
     for row in result.rows:
-        b = result.fibers[row.lam]
-        direct = kn_symbol_of(b)
+        direct = recon.inverse_table(row.lam)
         glued = fiber_symbol(recon, row.lam, result.grid)
         scale = max(direct.sup_norm(), 1e-300)
         report[row.lam] = {
@@ -417,25 +402,9 @@ def verify_inverse(result: InversionResult, spec, recon: "ReconstructedSpectrum 
     return report
 
 
-def _fiber_nodes(spec, lam: float, grid: LineGrid, order: int, h: float,
-                 mode: str, cond_limit: float):
-    """Stencil-node (A, B) matrices for central differencing in lam."""
-    off, wts = stencil(order)
-    a_nodes, b_nodes = [], []
-    for o in off:
-        a = kn_quantize(fiber_table(spec, lam + o * h, grid))
-        b, _, _ = invert_fiber(a, cond_limit, mode)
-        a_nodes.append(a.matrix)
-        b_nodes.append(b.matrix)
-    scale = h ** order
-    da = sum(w * m for w, m in zip(wts, a_nodes)) / scale
-    db = sum(w * m for w, m in zip(wts, b_nodes)) / scale
-    return da, db, b_nodes[len(off) // 2]
-
-
 def lambda_derivative_check(spec, lam: float, grid: LineGrid,
-                            mode: str = "reduce", cond_limit: float = 1e8,
-                            h_rel: float = 0.02, order: int = 1) -> dict:
+                            cond_limit: float = 1e8, h_rel: float = 0.02,
+                            order: int = 1, center: "tuple | None" = None) -> dict:
     """Derivative structure of the inverse fibers at one central frequency.
 
     At order 1 this checks d_lam B = -B (d_lam A) B, with all derivatives
@@ -443,11 +412,34 @@ def lambda_derivative_check(spec, lam: float, grid: LineGrid,
     move with lam); the formula is constant-free only there, so higher
     orders report just the scaled derivative |lam|^M ||d^M B|| used by
     the uniformity scan, plus the sup of the differentiated symbol table.
+
+    `center` is (B, sigma_min, sigma_max) of the fiber at `lam` when an
+    inversion run already holds it; otherwise that fiber is inverted here.
+    Each stencil node's inverse is exact only up to size * eps * ||A|| ||B||^2,
+    so a derivative norm below that bound times sum |w_o| / h^order (the
+    `rounding_floor`) is noise: the row reports `zero_to_rounding` and no
+    identity ratio. Dilation-invariant families land there at every lam.
     """
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
+    if center is None:
+        b, sigma_min, cond = invert_fiber(
+            kn_quantize(fiber_table(spec, lam, grid)), cond_limit)
+        center = (b.matrix, sigma_min, sigma_min * cond)
+    b0, sigma_min, sigma_max = center
     h = h_rel * abs(lam)
-    da, db, b0 = _fiber_nodes(spec, lam, grid, order, h, mode, cond_limit)
+    off, wts = stencil(order)
+    a_nodes, b_nodes = [], []
+    for o in off:
+        a = kn_quantize(fiber_table(spec, lam + o * h, grid))
+        a_nodes.append(a.matrix)
+        b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit)[0].matrix)
+    scale = h ** order
+    da = sum(w * m for w, m in zip(wts, a_nodes)) / scale
+    db = sum(w * m for w, m in zip(wts, b_nodes)) / scale
+    floor = float(grid.size * np.finfo(float).eps * sigma_max / sigma_min ** 2
+                  * np.sum(np.abs(wts)) / scale)
+    db_norm = float(np.linalg.norm(db, 2))
     # reading the table off the differentiated matrix is exact: the
     # quantization is linear, so d(symbol) = symbol(d(matrix))
     table = kn_symbol_of(FiberOperator(lam, grid, db))
@@ -455,40 +447,49 @@ def lambda_derivative_check(spec, lam: float, grid: LineGrid,
         "lam": float(lam),
         "order": order,
         "step": h,
-        "derivative_norm": float(np.linalg.norm(db, 2)),
-        "scaled_derivative": abs(lam) ** order * float(np.linalg.norm(db, 2)),
+        "derivative_norm": db_norm,
+        "rounding_floor": floor,
+        "zero_to_rounding": db_norm <= floor,
+        "scaled_derivative": abs(lam) ** order * db_norm,
         "scaled_table_sup": abs(lam) ** order * table.sup_norm(),
     }
     if order == 1:
         rhs = -b0 @ da @ b0
         num = float(np.linalg.norm(db - rhs, 2))
-        den = max(float(np.linalg.norm(db, 2)), float(np.linalg.norm(rhs, 2)))
         out["identity_residual"] = num
-        out["identity_rel"] = num / den if den > 0 else 0.0
+        if not out["zero_to_rounding"]:
+            out["identity_rel"] = num / max(db_norm, float(np.linalg.norm(rhs, 2)))
     return out
 
 
 def uniform_derivative_scan(spec, lam_values, grid: LineGrid,
-                            mode: str = "reduce", cond_limit: float = 1e8,
-                            m_max: int = 1) -> dict:
+                            cond_limit: float = 1e8, m_max: int = 1,
+                            centers: "dict | None" = None) -> dict:
     """Scaled inverse derivatives across fibers, with a uniformity verdict.
 
     Uniformity per order means the largest scaled derivative stays within
     a factor 4 of the median over the lam grid; a family leaving the
     symbol class under inversion shows up as orders of magnitude instead.
+    Only rows above their rounding floor are judged (`resolved`); an order
+    whose rows are all zero to rounding is uniform. `centers` maps lam to
+    the `center` argument of `lambda_derivative_check`.
     """
     orders = {}
     for order in range(1, m_max + 1):
-        rows = [lambda_derivative_check(spec, lam, grid, mode, cond_limit,
-                                        order=order)
-                for lam in lam_values]
-        scaled = [r["scaled_derivative"] for r in rows]
-        med = float(np.median(scaled))
+        rows = []
+        for lam in lam_values:
+            center = centers.get(float(lam)) if centers else None
+            rows.append(lambda_derivative_check(spec, lam, grid, cond_limit,
+                                                order=order, center=center))
+        scaled = [r["scaled_derivative"] for r in rows if not r["zero_to_rounding"]]
+        top = max(scaled, default=0.0)
+        med = float(np.median(scaled)) if scaled else 0.0
         orders[order] = {
             "rows": rows,
-            "max_scaled": max(scaled),
+            "resolved": len(scaled),
+            "max_scaled": top,
             "median_scaled": med,
-            "uniform": max(scaled) <= 4.0 * med if med > 0 else True,
+            "uniform": top <= 4.0 * med,
         }
     return {
         "orders": orders,
@@ -500,5 +501,7 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     """Derivative scan over the fibers an inversion run already covered."""
     if result.spec is None:
         raise ValueError("result was built without a source family")
+    centers = {r.lam: (result.fibers[r.lam].matrix, r.sigma_min, r.sigma_max)
+               for r in result.rows}
     return uniform_derivative_scan(result.spec, result.lam_values, result.grid,
-                                   result.mode, result.cond_limit, m_max)
+                                   result.cond_limit, m_max, centers)

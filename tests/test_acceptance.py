@@ -236,7 +236,7 @@ def test_criterion_6_inversion_end_to_end():
         model = fiber_symbol(recip, lam, grid)
         model_gap = max(model_gap, float(np.max(np.abs(
             model.values - kn_symbol_of(res.fibers[lam]).values))))
-    verif = verify_inverse(res, spec)
+    verif = verify_inverse(res)
     two_sided = max(max(v["residual_right"], v["residual_left"])
                     for v in verif.values())
     ok = (fiber_resid <= 1e-8 and neumann <= 1e-6
@@ -272,7 +272,8 @@ def test_criterion_7_derivative_structure():
 
 def test_criterion_8_uniform_invertibility():
     spec = make_spectrum("perturbed-identity", eps=0.1)
-    frame = uniform_invertibility_report(spec, LADDER, FIBER_GRID)["frame_constant"]
+    frame = uniform_invertibility_report(
+        invert_flag(spec, LADDER, FIBER_GRID))["frame_constant"]
     kernel = field_of_spectrum(spec, GROUP32)
     bins = central_frequencies(GROUP32)
     rng = np.random.default_rng(909)

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heisenflag
 from heisenflag.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -58,6 +63,11 @@ def test_config_errors(tmp_path):
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
+    # keys of the removed inversion modes and worker pool
+    for removed in ({"mode": "reduce"}, {"jobs": 2}):
+        bad.write_text(json.dumps(removed))
+        assert main(["invert", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["identities", "--jobs", "2"]) == EXIT_CONFIG
     bad.write_text(json.dumps({"v_count": 33}))
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["identities", "--grid", "32,4.0"]) == EXIT_CONFIG
@@ -155,19 +165,31 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert snapshot(out) == first
 
 
-def test_jobs_do_not_change_science(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["invert", "--kernel", "tempered", "--eps", "0.4", "--out", str(a),
-          "--jobs", "1"])
-    main(["invert", "--kernel", "tempered", "--eps", "0.4", "--out", str(b),
-          "--jobs", "4"])
-    sa, sb = snapshot(a), snapshot(b)
-    for name in sa:
-        if name != "run.json":  # config echo records the jobs flag
-            assert sa[name] == sb[name], name
-    ra = json.loads(sa["run.json"].decode())
-    rb = json.loads(sb["run.json"].decode())
-    assert ra["summary"] == rb["summary"]
+def test_library_value_error_exits_config(tmp_path, capsys):
+    # passes validate(), then the battery's lambda = 1 lies outside the
+    # central band of this t grid: a rejected parameter, not a tolerance
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(
+        {"n": 2, "state_count": 16, "v_count": 8, "t_count": 16}))
+    out = tmp_path / "run"
+    assert main(["identities", "--config", str(cfgfile),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (out / "run.json").exists()
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(heisenflag.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heisenflag", "report",
+         "--out", str(tmp_path / "missing")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "no run.json" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_config_dyadic_ladder_and_validation():
