@@ -5,7 +5,7 @@ Each check realizes one structural identity of the machinery (homomorphism
 laws, Plancherel bookkeeping, dual-route consistency, quantization
 bijectivity) as a single max-error number against a pinned tolerance.  The
 battery is what `heisenflag identities` runs; the acceptance suite reuses
-individual checks.  All randomness flows through one seeded generator, so a
+individual checks and the test suite the stock random inputs.  All randomness flows through one seeded generator, so a
 run is reproducible from (config, seed) alone.
 """
 
@@ -82,8 +82,14 @@ def _point_gap(a: GroupPoint, b: GroupPoint) -> float:
                      abs(a.t - b.t)))
 
 
-def _gauss_state(grid: LineGrid, rate: float = 1.0, center: float = 0.0,
-                 momentum: float = 0.0) -> StateVector:
+def balanced_rates(grid: Grid) -> tuple[float, float]:
+    """Gaussian rates a = zeta_max / L equalizing both periodization tails."""
+    v, t = grid.axes[0], grid.t_axis
+    return v.freq_half_width / v.half_width, t.freq_half_width / t.half_width
+
+
+def gauss_state(grid: LineGrid, rate: float = 1.0, center: float = 0.0,
+                momentum: float = 0.0) -> StateVector:
     s = grid.points()
     v = np.exp(-np.pi * rate * (s - center) ** 2) * np.exp(2j * np.pi * momentum * s)
     out = v
@@ -92,23 +98,21 @@ def _gauss_state(grid: LineGrid, rate: float = 1.0, center: float = 0.0,
     return StateVector(grid, out)
 
 
-def _random_state(ctx: IdentityContext) -> StateVector:
-    r = ctx.rng
-    return _gauss_state(ctx.state, r.uniform(0.7, 1.6), r.uniform(-0.4, 0.4),
-                        r.uniform(-0.5, 0.5))
+def random_state(grid: LineGrid, rng: np.random.Generator) -> StateVector:
+    """Modulated Gaussian state; draws rate, center, momentum in that order."""
+    return gauss_state(grid, rng.uniform(0.7, 1.6), rng.uniform(-0.4, 0.4),
+                       rng.uniform(-0.5, 0.5))
 
 
-def _random_field(ctx: IdentityContext, grid: "Grid | None" = None,
-                  modulation_scale: float = 0.3):
-    g = ctx.grid if grid is None else grid
-    # rates balancing both periodization tails of the sampled Gaussian
-    av = g.axes[0].freq_half_width / g.axes[0].half_width
-    at = g.t_axis.freq_half_width / g.t_axis.half_width
-    r = ctx.rng
-    return gaussian_field(g,
-                          v_rate=av * r.uniform(0.75, 1.35, size=2 * g.n),
-                          t_rate=at * r.uniform(0.75, 1.35),
-                          modulation=r.uniform(-modulation_scale, modulation_scale))
+def random_field(grid: Grid, rng: np.random.Generator,
+                 modulation_scale: float = 0.3):
+    """Gaussian field near the balanced rates with a random central
+    modulation; draws the 2n v-rates, the t-rate, the modulation."""
+    av, at = balanced_rates(grid)
+    return gaussian_field(grid,
+                          v_rate=av * rng.uniform(0.75, 1.35, size=2 * grid.n),
+                          t_rate=at * rng.uniform(0.75, 1.35),
+                          modulation=rng.uniform(-modulation_scale, modulation_scale))
 
 
 def _rel_hs_gap(a: FiberOperator, b: FiberOperator) -> float:
@@ -158,19 +162,19 @@ def _chk_norm_homogeneity(ctx: IdentityContext) -> float:
 
 
 def _chk_plancherel(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     return abs(l2_norm(f) - l2_norm(fourier(f))) / l2_norm(f)
 
 
 def _chk_fourier_roundtrip(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     back = inverse_fourier(fourier(f))
     return float(np.max(np.abs(back.values - f.values))
                  / np.max(np.abs(f.values)))
 
 
 def _chk_spike_neutrality(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     d = spike_field(ctx.grid)
     scale = float(np.max(np.abs(f.values)))
     return float(max(np.max(np.abs(convolve(d, f).values - f.values)),
@@ -193,7 +197,7 @@ def _chk_convolution_associativity(ctx: IdentityContext) -> float:
 
 
 def _chk_star_antihomomorphism(ctx: IdentityContext) -> float:
-    f, g = _random_field(ctx), _random_field(ctx)
+    f, g = random_field(ctx.grid, ctx.rng), random_field(ctx.grid, ctx.rng)
     lhs = star_involution(convolve(f, g))
     rhs = convolve(star_involution(g), star_involution(f))
     scale = float(np.max(np.abs(lhs.values)))
@@ -201,7 +205,7 @@ def _chk_star_antihomomorphism(ctx: IdentityContext) -> float:
 
 
 def _chk_star_isometry(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     ff = star_involution(star_involution(f))
     return float(max(np.max(np.abs(ff.values - f.values))
                      / np.max(np.abs(f.values)),
@@ -209,7 +213,7 @@ def _chk_star_isometry(ctx: IdentityContext) -> float:
 
 
 def _chk_slice_energy_sum(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     lams = ctx.grid.t_axis.freqs()
     total = ctx.grid.t_axis.freq_spacing * sum(
         central_slice_energy(f, float(l)) for l in lams)
@@ -221,7 +225,7 @@ def _chk_pi_unitarity(ctx: IdentityContext) -> float:
     for _ in range(ctx.draws):
         h = _random_point(ctx)
         lam = float(ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1))
-        u = _random_state(ctx)
+        u = random_state(ctx.state, ctx.rng)
         worst = max(worst, abs(pi_point(h, lam, u).l2_norm() - u.l2_norm())
                     / u.l2_norm())
     return worst
@@ -232,7 +236,7 @@ def _chk_pi_homomorphism(ctx: IdentityContext) -> float:
     for _ in range(ctx.draws):
         g, h = _random_point(ctx), _random_point(ctx)
         lam = float(ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1))
-        u = _random_state(ctx)
+        u = random_state(ctx.state, ctx.rng)
         two = pi_point(g, lam, pi_point(h, lam, u))
         one = pi_point(group_mul(g, h), lam, u)
         worst = max(worst, float(np.max(np.abs(two.values - one.values))))
@@ -240,7 +244,7 @@ def _chk_pi_homomorphism(ctx: IdentityContext) -> float:
 
 
 def _chk_matrix_coefficient_factorization(ctx: IdentityContext) -> float:
-    f, g = _random_state(ctx), _random_state(ctx)
+    f, g = random_state(ctx.state, ctx.rng), random_state(ctx.state, ctx.rng)
     c = c_fun(f, g)
     worst = 0.0
     for lam in (1.0, -1.0, 0.5, -0.5, 4.0, -4.0):
@@ -255,7 +259,7 @@ def _chk_matrix_coefficient_factorization(ctx: IdentityContext) -> float:
 
 
 def _chk_route_agreement(ctx: IdentityContext) -> float:
-    f = _random_field(ctx, grid=ctx.wide)
+    f = random_field(ctx.wide, ctx.rng)
     worst = 0.0
     for lam in (0.5, -0.5):
         a = pi_field(f, lam, ctx.state, route="quadrature")
@@ -265,7 +269,7 @@ def _chk_route_agreement(ctx: IdentityContext) -> float:
 
 
 def _chk_route_lattice_coincidence(ctx: IdentityContext) -> float:
-    f = _random_field(ctx, grid=ctx.wide)
+    f = random_field(ctx.wide, ctx.rng)
     worst = 0.0
     for lam in (1.0, -1.0):
         a = pi_field(f, lam, ctx.state, route="quadrature")
@@ -275,8 +279,8 @@ def _chk_route_lattice_coincidence(ctx: IdentityContext) -> float:
 
 
 def _chk_pi_convolution_homomorphism(ctx: IdentityContext) -> float:
-    f = _random_field(ctx, grid=ctx.wide)
-    g = _random_field(ctx, grid=ctx.wide)
+    f = random_field(ctx.wide, ctx.rng)
+    g = random_field(ctx.wide, ctx.rng)
     fg = convolve(f, g)
     worst = 0.0
     for lam in (0.5, -0.5):
@@ -287,7 +291,7 @@ def _chk_pi_convolution_homomorphism(ctx: IdentityContext) -> float:
 
 
 def _chk_gramian_slice(ctx: IdentityContext) -> float:
-    f = _random_field(ctx)
+    f = random_field(ctx.grid, ctx.rng)
     worst = 0.0
     for lam in (0.5, -0.5, 0.25, -0.25):
         slice_e = central_slice_energy(f, lam)
@@ -297,7 +301,7 @@ def _chk_gramian_slice(ctx: IdentityContext) -> float:
 
 
 def _chk_gramian_sum(ctx: IdentityContext) -> float:
-    f = _random_field(ctx, modulation_scale=0.4)
+    f = random_field(ctx.grid, ctx.rng, 0.4)
     dl = ctx.grid.t_axis.freq_spacing
     total = dl * sum(gramian(f, float(l), ctx.state)
                      for l in ctx.grid.t_axis.freqs() if l != 0.0)

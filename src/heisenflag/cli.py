@@ -14,7 +14,9 @@ alone; writing the same run twice yields byte-identical artifacts.
 import argparse
 import itertools
 import json
+import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -70,7 +72,7 @@ class ExperimentConfig:
     strict_symmetric: bool = False
     draws: int = 20
     seed: int = 0
-    out: "str | None" = None
+    out: str | None = None
 
     def validate(self) -> None:
         for name in ("v_count", "t_count", "state_count"):
@@ -89,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError("need shells >= 3 and directions >= 1")
         if self.alpha_max < 0 or self.beta_max < 0:
             raise ConfigError("multi-index ranges must be >= 0")
-        if not np.isfinite(self.eps):
+        if not math.isfinite(self.eps):
             raise ConfigError(f"eps must be finite, got {self.eps}")
 
     # -- derived objects --
@@ -126,6 +128,17 @@ class ExperimentConfig:
         return make_spectrum(self.kernel, n=self.n, eps=self.eps)
 
 
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value fits a config field: int fields take neither
+    bools nor floats, float fields take ints in float range but not bools."""
+    kinds = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool):
+        return bool in kinds
+    if float in kinds and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kinds)
+
+
 def load_config(path: "str | None", overrides: dict) -> ExperimentConfig:
     data: dict = {}
     if path is not None:
@@ -138,9 +151,15 @@ def load_config(path: "str | None", overrides: dict) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
     data = {**data, **overrides}
-    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = fields[key].type
+        if not _has_type(value, kind):
+            raise ConfigError(f"{key} must be {getattr(kind, '__name__', kind)}, "
+                              f"got {value!r}")
     cfg = replace(ExperimentConfig(), **data)
     cfg.validate()
     return cfg
@@ -234,10 +253,6 @@ def cmd_estimates(cfg: ExperimentConfig) -> int:
         rmin=cfg.rmin, rmax=cfg.rmax, shells=cfg.shells,
         directions=cfg.directions, blowup_factor=cfg.blowup_factor)
     bad = [r for r in report.rows if r.verdict != "ok"]
-    sym0: dict = {}
-    for r in report.rows:
-        key = (r.alpha, r.beta)
-        sym0[key] = max(sym0.get(key, 0.0), r.sup)
     entry = CATALOG.get(cfg.kernel)
     expected_ok = entry.flag_ok if entry is not None else True
     status = EXIT_OK if not bad else EXIT_TOLERANCE
@@ -248,7 +263,8 @@ def cmd_estimates(cfg: ExperimentConfig) -> int:
                      "verdict": r.verdict} for r in bad],
         "expected_pass": expected_ok,
         "matches_expectation": (not bad) == expected_ok,
-        "sym0": {f"alpha={list(a)} beta={b}": v for (a, b), v in sym0.items()},
+        "sym0": {f"alpha={list(a)} beta={b}": v
+                 for (a, b), v in report.sym0().items()},
     }
     _write_run(cfg, "estimates", status, summary, extra_files={
         "flag_report.csv": report.to_csv(),

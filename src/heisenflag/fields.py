@@ -7,14 +7,19 @@ ones "dual side"; partial transforms produce mixed fields and every
 operation keeps the bookkeeping straight.
 
 Band-limited point evaluation treats the samples as coefficients of the
-unique trigonometric interpolant. Outside the grid footprint the
+unique trigonometric interpolant; `eval_at` is the package's one such
+evaluator (symbol tables are evaluated through it as well). A query row is
+outside the footprint when any coordinate is < -H or >= H, where H is that
+axis's half-width on its current side. Outside the footprint the
 interpolant is periodic, which is meaningless for decaying data, so
 `eval_at` takes an explicit out-of-footprint policy:
 
 * ``"wrap"``: raw periodic mode sum (flat spectra, spikes);
 * ``"zero"``: return 0 outside the footprint (decaying fields, default);
-* ``"edge"``: clamp the query onto the footprint boundary (symbol
-  resampling; callers flag clamped points).
+* ``"edge"``: clamp every row onto the last lattice cell, each coordinate
+  to [-H, H - d] with d the axis spacing, so a row's value never depends
+  on the other rows of its batch (symbol resampling; callers count the
+  outside rows with `out_of_footprint`).
 """
 
 from __future__ import annotations
@@ -117,13 +122,11 @@ class SampledField:
             raise ValueError(f"points must have {self.grid.ndim} columns")
         if policy not in ("wrap", "zero", "edge"):
             raise ValueError(f"unknown policy {policy!r}")
-        outside = self.out_of_footprint(pts)
-        if policy == "edge" and np.any(outside):
-            pts = pts.copy()
-            for i in range(self.grid.ndim):
-                h = self.axis_half_width(i)
-                d = self.axis_spacing(i)
-                pts[:, i] = np.clip(pts[:, i], -h, h - d)
+        if policy == "edge":
+            pts = np.stack([
+                np.clip(pts[:, i], -self.axis_half_width(i),
+                        self.axis_half_width(i) - self.axis_spacing(i))
+                for i in range(self.grid.ndim)], axis=1)
         coeff, modes, signs = self._mode_data()
         out = None
         for i in range(self.grid.ndim):
@@ -134,7 +137,7 @@ class SampledField:
                 out = np.einsum("mk,mk...->m...", e, out)
         out = np.asarray(out)
         if policy == "zero":
-            out = np.where(outside, 0.0, out)
+            out = np.where(self.out_of_footprint(pts), 0.0, out)
         return out
 
 

@@ -188,17 +188,22 @@ class LineGrid:
 
     def flat_points(self) -> np.ndarray:
         """All grid points as an array of shape (count^dim, dim), row-major."""
-        return _flat_coords(self.points(), self.dim)
+        return flat_coords([self.points()] * self.dim)
 
     def flat_freqs(self) -> np.ndarray:
-        return _flat_coords(self.freqs(), self.dim)
+        return flat_coords([self.freqs()] * self.dim)
 
     def is_self_dual(self, tol: float = 1e-12) -> bool:
         return abs(self.spacing - self.freq_spacing) <= tol
 
 
-def _flat_coords(axis_values: np.ndarray, dim: int) -> np.ndarray:
-    mesh = np.meshgrid(*([axis_values] * dim), indexing="ij")
+def flat_coords(axis_values) -> np.ndarray:
+    """Rows of the tensor lattice of one 1-d array per axis, row-major.
+
+    Returns shape (prod of lengths, number of axes); column i runs over
+    axis_values[i], the last column fastest.
+    """
+    mesh = np.meshgrid(*axis_values, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -223,11 +228,6 @@ def centered_idft(values: np.ndarray, axes) -> np.ndarray:
     out = np.fft.ifftshift(values, axes=axes)
     out = np.fft.ifftn(out, axes=axes)
     return np.fft.fftshift(out, axes=axes)
-
-
-def mode_matrix(targets: np.ndarray, modes: np.ndarray, sign: int) -> np.ndarray:
-    """exp(sign 2 pi i targets[j] modes[k]) for 1d target/mode vectors."""
-    return np.exp(sign * 2j * np.pi * np.outer(targets, modes))
 
 
 def flat_phase(targets: np.ndarray, modes: np.ndarray, sign: int) -> np.ndarray:

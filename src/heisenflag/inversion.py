@@ -38,7 +38,7 @@ from .symbols import (
     fiber_symbol,
     kn_quantize,
     kn_symbol_of,
-    symbol_clip_mask,
+    symbol_field,
 )
 
 # Elliptic catalog fibers sit at sigma_min ~ 1, while a symbol vanishing at
@@ -350,7 +350,8 @@ class ReconstructedSpectrum(Spectrum):
             root = np.sqrt(abs(mu))
             xi = np.sign(mu) * W[rows, :self.n] / root
             s = -W[rows, self.n:] / root
-            self.clipped_rows += int(np.sum(symbol_clip_mask(tab, xi, s)))
+            outside = symbol_field(tab).out_of_footprint(np.hstack([xi, s]))
+            self.clipped_rows += int(np.sum(outside))
             out[rows] = evaluate_symbol(tab, xi, s, policy=self.policy)
         return out
 

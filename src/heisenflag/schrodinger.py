@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SampledField, write_blob, read_blob
-from .grids import Axis, Grid, LineGrid, centered_dft, flat_phase
+from .grids import Axis, Grid, LineGrid, centered_dft, flat_coords, flat_phase
 from .group import GroupPoint
 
 
@@ -210,15 +210,9 @@ def _lambda_slice(field: SampledField, lam: float, s_targets: np.ndarray) -> np.
     )
     Nv = grid.axes[0].count
     g1 = g1.reshape(Nv ** n, Nv ** n)  # rows x, cols y
-    ys = _flat_v(grid)
+    ys = flat_coords([ax.points() for ax in grid.y_axes])
     Ey = flat_phase(ys, np.sqrt(abs(lam)) * s_targets, +1)
     return grid.axes[0].spacing ** n * (g1 @ Ey)
-
-
-def _flat_v(grid: Grid) -> np.ndarray:
-    pts = grid.axes[0].points()
-    mesh = np.meshgrid(*([pts] * grid.n), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def pi_field(field: SampledField, lam: float, grid: LineGrid,
@@ -246,7 +240,7 @@ def _pi_field_quadrature(field: SampledField, lam: float, grid: LineGrid) -> Fib
     frq = grid.flat_freqs()
     W = flat_phase(frq, pts, -1)
     Wb = W.conj().T / grid.size
-    xs = _flat_v(field.grid)
+    xs = flat_coords([ax.points() for ax in field.grid.x_axes])
     root = np.sign(lam) * np.sqrt(abs(lam))
     mat = np.zeros((grid.size, grid.size), dtype=complex)
     for k in range(xs.shape[0]):
@@ -275,7 +269,7 @@ def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,
     # u = sgn(lam) (x' - s) / sqrt|lam|.
     spec = centered_dft(g2.reshape((Nv,) * n + (-1,)), tuple(range(n)))
     spec = spec.reshape(Nv ** n, -1) * fgrid.axes[0].spacing ** n
-    xi = _flat_v_dual(fgrid)  # (Nv^n, n) horizontal dual lattice
+    xi = flat_coords([ax.freqs() for ax in fgrid.x_axes])  # horizontal dual lattice
     L = fgrid.axes[0].half_width
     if policy == "zero":
         # separable phases: the mode sum factors over (s, x') rows/columns
@@ -298,12 +292,6 @@ def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,
     M[np.any(u > L, axis=2)] = 0.0
     M *= abs(lam) ** (-n / 2)
     return FiberOperator(lam, grid, grid.weight * M)
-
-
-def _flat_v_dual(grid: Grid) -> np.ndarray:
-    frq = grid.axes[0].freqs()
-    mesh = np.meshgrid(*([frq] * grid.n), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def rank_one(g: StateVector, h: StateVector) -> FiberOperator:

@@ -32,7 +32,7 @@ import sympy as sp
 
 from .fields import SampledField
 from .finitediff import partial_cloud
-from .grids import Grid, LineGrid, centered_dft, centered_idft, flat_phase
+from .grids import Grid, LineGrid, flat_coords, flat_phase
 from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
 
@@ -98,48 +98,29 @@ def twisted_product(a: SymbolGrid, b: SymbolGrid) -> SymbolGrid:
     return kn_symbol_of(kn_quantize(a) @ kn_quantize(b))
 
 
-def symbol_clip_mask(a: SymbolGrid, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows whose coordinates leave the table footprint."""
+def symbol_field(a: SymbolGrid) -> SampledField:
+    """The table as a field on the (xi, s) lattice: xi axes on the
+    frequency side, s axes on the position side."""
     g = a.grid
-    bad = np.any(np.abs(xi) > g.freq_half_width, axis=1)
-    return bad | np.any(np.abs(s) > g.half_width, axis=1)
+    n = g.dim
+    return SampledField(Grid((g.axis,) * (2 * n)),
+                        a.values.reshape((g.count,) * (2 * n)),
+                        (True,) * n + (False,) * n)
 
 
 def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
                     policy: str = "zero") -> np.ndarray:
     """Band-limited evaluation of a symbol table at off-lattice rows.
 
-    Exact at lattice coincidences. `policy` decides out-of-footprint rows:
-    "zero" nulls them, "edge" clamps the coordinates to the table edge.
+    Exact at lattice coincidences. `policy` decides out-of-footprint rows
+    as in `SampledField.eval_at`: "zero" nulls them, "edge" clamps every
+    row onto the table.
     """
-    g = a.grid
-    n, N = g.dim, g.count
-    xi = np.atleast_2d(np.asarray(xi, dtype=float)).copy()
-    s = np.atleast_2d(np.asarray(s, dtype=float)).copy()
-    if xi.shape != s.shape or xi.shape[1] != n:
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    if xi.shape != s.shape or xi.shape[1] != a.grid.dim:
         raise ValueError("coordinate blocks must both be (m, dim)")
-    bad = symbol_clip_mask(a, xi, s)
-    if policy == "edge":
-        np.clip(xi, -g.freq_half_width, g.freq_half_width - g.freq_spacing, out=xi)
-        np.clip(s, -g.half_width, g.half_width - g.spacing, out=s)
-    elif policy != "zero":
-        raise ValueError(f"unknown policy {policy!r}")
-    coeff = a.values.reshape((N,) * (2 * n))
-    coeff = centered_idft(coeff, tuple(range(n)))  # 1/N built in
-    coeff = centered_dft(coeff, tuple(range(n, 2 * n))) / N ** n
-    pts, frq = g.axis.points(), g.axis.freqs()
-    out = coeff
-    first = True
-    for i in range(2 * n):
-        if i < n:  # frequency slot, position modes
-            ph = np.exp(-2j * np.pi * np.outer(xi[:, i], pts))
-        else:      # position slot, frequency modes
-            ph = np.exp(+2j * np.pi * np.outer(s[:, i - n], frq))
-        out = np.einsum("pa,a...->p..." if first else "pa,pa...->p...", ph, out)
-        first = False
-    if policy == "zero" and np.any(bad):
-        out = np.where(bad, 0.0, out)
-    return out
+    return symbol_field(a).eval_at(np.hstack([xi, s]), policy)
 
 
 # -- symbol families over the flag covariables ---------------------------------
@@ -228,15 +209,9 @@ class SympySpectrum(Spectrum):
 def fiber_covariables(lam: float, grid: LineGrid) -> np.ndarray:
     """Rows w = (-sgn(lam) sqrt|lam| xi_i, -sqrt|lam| s_j) over the table."""
     root = np.sqrt(abs(lam))
-    xi = grid.flat_freqs()
-    s = grid.flat_points()
-    wx = -np.sign(lam) * root * xi             # (modes, n)
-    wy = -root * s                             # (size, n)
-    m = grid.size
-    rows = np.concatenate(
-        [np.repeat(wx, m, axis=0), np.tile(wy, (m, 1))], axis=1
-    )
-    return rows
+    n = grid.dim
+    return flat_coords([-np.sign(lam) * root * grid.freqs()] * n
+                       + [-root * grid.points()] * n)
 
 
 def fiber_symbol(spec: Spectrum, lam: float, grid: LineGrid) -> SymbolGrid:
@@ -286,10 +261,9 @@ def field_of_spectrum(spec: Spectrum, grid: Grid) -> SampledField:
         raise ValueError("expected a Heisenberg-layout grid")
     if grid.n != spec.n:
         raise ValueError(f"grid rank {grid.n} != group rank {spec.n}")
-    mesh = np.meshgrid(*(ax.freqs() for ax in grid.axes), indexing="ij")
-    W = np.stack([m.ravel() for m in mesh[:-1]], axis=1)
+    rows = flat_coords([ax.freqs() for ax in grid.axes])
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = spec(W, mesh[-1].ravel())
+        vals = spec(rows[:, :-1], rows[:, -1])
     vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
     dual = SampledField(grid, vals.reshape(grid.shape), (True,) * grid.ndim)
     return inverse_fourier(dual)
@@ -324,6 +298,14 @@ class SeminormReport:
         bad = [r for r in self.rows if r.verdict != "ok"]
         pool = bad or self.rows
         return max(pool, key=lambda r: r.sup) if pool else None
+
+    def sym0(self) -> dict:
+        """Best-constant table: sup of each (alpha, beta) over all fibers."""
+        out: dict = {}
+        for r in self.rows:
+            key = (r.alpha, r.beta)
+            out[key] = max(out.get(key, 0.0), r.sup)
+        return out
 
     def to_json(self) -> str:
         payload = {
@@ -449,9 +431,4 @@ def flag_estimate_report(spec: Spectrum,
 
 def sym0_seminorms(spec: Spectrum, **kwargs) -> dict:
     """Best-constant table: sup of each normalized derivative over the scan."""
-    rep = flag_estimate_report(spec, **kwargs)
-    out: dict = {}
-    for r in rep.rows:
-        key = (r.alpha, r.beta)
-        out[key] = max(out.get(key, 0.0), r.sup)
-    return out
+    return flag_estimate_report(spec, **kwargs).sym0()

@@ -79,6 +79,13 @@ def l2_norm(f: SampledField) -> float:
 
 # -- group symmetries ---------------------------------------------------------
 
+def _lattice_xy(grid: Grid) -> np.ndarray:
+    """x.y at every horizontal lattice point v = (x, y), shape (Nv,)*2n."""
+    n = grid.n
+    mesh = np.meshgrid(*([grid.axes[0].points()] * (2 * n)), indexing="ij")
+    return sum(mesh[i] * mesh[n + i] for i in range(n))
+
+
 def group_reflect(f: SampledField) -> SampledField:
     """f(h) -> f(h^{-1}), exact on the band-limited interpolant.
 
@@ -98,9 +105,7 @@ def group_reflect(f: SampledField) -> SampledField:
     t_ax = 2 * n
     Nt = grid.t_axis.count
     lam = grid.t_axis.freqs()
-    pts = grid.axes[0].points()
-    mesh = np.meshgrid(*([pts] * (2 * n)), indexing="ij")
-    tau = sum(mesh[i] * mesh[n + i] for i in range(n))  # x.y at output coords
+    tau = _lattice_xy(grid)  # x.y at output coords
     spec = centered_dft(vals, t_ax)
     spec = spec * np.exp(2j * np.pi * tau[..., None] * lam)
     perm = (Nt - np.arange(Nt)) % Nt  # lambda -> -lambda
@@ -130,9 +135,7 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
     x_axes = tuple(range(n))
     y_axes = tuple(range(n, 2 * n))
 
-    mesh = np.meshgrid(*([pts] * (2 * n)), indexing="ij")
-    xy = sum(mesh[i] * mesh[n + i] for i in range(n))  # x.y on the v-grid
-    fmod = fv * np.exp(2j * np.pi * lam * xy)
+    fmod = fv * np.exp(2j * np.pi * lam * _lattice_xy(grid))
 
     g_sh = np.fft.ifftshift(gv, axes=tuple(range(2 * n)))
     GY = np.fft.fftn(g_sh, axes=y_axes)

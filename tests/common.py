@@ -1,10 +1,6 @@
-"""Shared grids and stock inputs for the test suite."""
+"""Shared grids for the test suite; stock inputs come from heisenflag.checks."""
 
-import numpy as np
-
-from heisenflag.fields import SampledField
 from heisenflag.grids import LineGrid, group_grid, self_dual_line
-from heisenflag.schrodinger import StateVector
 
 # accuracy grid: balanced Gaussians have periodization floor ~ e^{-8 pi}
 GROUP32 = group_grid(1, 32, 4.0, 64, 8.0)
@@ -19,36 +15,3 @@ GROUPWIDE = group_grid(1, 64, 4.0, 64, 8.0)
 
 LINE64 = self_dual_line(64)          # L = 4, self-dual lattice
 LINE128 = LineGrid(128, 6.0)         # roomy grid for representation draws
-
-
-def balanced_rates(grid):
-    """Gaussian rates a = zeta_max / L equalizing both periodization tails."""
-    v = grid.axes[0]
-    t = grid.t_axis
-    return v.freq_half_width / v.half_width, t.freq_half_width / t.half_width
-
-
-def gauss_state(grid: LineGrid, rate=1.0, center=0.0, momentum=0.0) -> StateVector:
-    s = grid.points()
-    vals = np.exp(-np.pi * rate * (s - center) ** 2) * np.exp(2j * np.pi * momentum * s)
-    out = vals
-    for _ in range(grid.dim - 1):
-        out = np.multiply.outer(out, vals)
-    return StateVector(grid, out)
-
-
-def random_state(grid: LineGrid, rng) -> StateVector:
-    rate = rng.uniform(0.7, 1.6)
-    center = rng.uniform(-0.4, 0.4)
-    momentum = rng.uniform(-0.5, 0.5)
-    return gauss_state(grid, rate, center, momentum)
-
-
-def random_gaussian_field(grid, rng, modulation_scale=0.5) -> SampledField:
-    from heisenflag.transform import gaussian_field
-
-    av, at = balanced_rates(grid)
-    v_rate = av * rng.uniform(0.75, 1.35, size=2 * grid.n)
-    t_rate = at * rng.uniform(0.75, 1.35)
-    modulation = rng.uniform(-modulation_scale, modulation_scale)
-    return gaussian_field(grid, v_rate=v_rate, t_rate=t_rate, modulation=modulation)

@@ -61,6 +61,31 @@ def direct_convolution(f: SampledField, g: SampledField) -> np.ndarray:
     return grid.weight * out
 
 
+def symbol_interpolant_literal(values: np.ndarray, points: np.ndarray,
+                               freqs: np.ndarray, xi: np.ndarray,
+                               s: np.ndarray) -> np.ndarray:
+    """Band-limited interpolant of a one-dimensional symbol table.
+
+    values[i, j] = a(freqs[i], points[j]). The frequency slot is
+    interpolated over position modes p and the position slot over
+    frequency modes q:
+
+        a(xi, s) = N^-2 sum_{i,j} a_ij sum_p e^{2 pi i (xi_i - xi) p}
+                                      sum_q e^{2 pi i (s - s_j) q}.
+    """
+    N = len(points)
+    out = np.zeros(len(xi), dtype=complex)
+    for m in range(len(xi)):
+        d_xi = np.zeros(N, dtype=complex)
+        d_s = np.zeros(N, dtype=complex)
+        for i in range(N):
+            for k in range(N):
+                d_xi[i] += np.exp(2j * np.pi * (freqs[i] - xi[m]) * points[k])
+                d_s[i] += np.exp(2j * np.pi * (s[m] - points[i]) * freqs[k])
+        out[m] = d_xi @ values @ d_s / N ** 2
+    return out
+
+
 def gauss_c_fun_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_{g,g}(x, y) for the unit Gaussian g(u) = exp(-pi u^2)."""
     return (np.exp(-np.pi * (x ** 2 + y ** 2) / 2.0)

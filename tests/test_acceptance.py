@@ -8,18 +8,11 @@ asserted, not merely reported.
 
 import numpy as np
 
-from common import (
-    GROUP32,
-    GROUPWIDE,
-    LINE64,
-    LINE128,
-    balanced_rates,
-    random_gaussian_field,
-    random_state,
-)
+from common import GROUP32, GROUPWIDE, LINE64, LINE128
 from conftest import ACCEPTANCE_LINES
 from oracles import gaussian_transform_1d
 
+from heisenflag.checks import balanced_rates, random_field, random_state
 from heisenflag.cli import ExperimentConfig
 from heisenflag.fields import LambdaWindow
 from heisenflag.grids import LineGrid, centered_dft, group_grid
@@ -109,7 +102,7 @@ def test_criterion_2_plancherel_and_gaussian_transform():
     rng = np.random.default_rng(1002)
     plancherel = 0.0
     for _ in range(5):
-        f = random_gaussian_field(GROUP32, rng, modulation_scale=0.4)
+        f = random_field(GROUP32, rng, modulation_scale=0.4)
         plancherel = max(plancherel,
                          abs(l2_norm(f) - l2_norm(fourier(f))) / l2_norm(f))
     av, at = balanced_rates(GROUP32)
@@ -151,7 +144,7 @@ def test_criterion_3_matrix_coefficient_identities():
 
 def test_criterion_4_fiber_dictionary():
     rng = np.random.default_rng(1004)
-    f = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.3)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.3)
     routes = 0.0
     for lam in (0.5, -0.5):
         a = pi_field(f, lam, LINE64, route="quadrature")
@@ -160,7 +153,7 @@ def test_criterion_4_fiber_dictionary():
                      / hs_norm(a))
     A = pi_field(f, 0.5, LINE64)
     isometry = abs(hs_norm(A) - kn_symbol_of(A).l2_norm()) / hs_norm(A)
-    f32 = random_gaussian_field(GROUP32, rng, modulation_scale=0.3)
+    f32 = random_field(GROUP32, rng, modulation_scale=0.3)
     slices = 0.0
     for lam in (0.5, -0.5, 0.25, -0.25):
         e = central_slice_energy(f32, lam)
@@ -279,7 +272,8 @@ def test_criterion_8_uniform_invertibility():
     rng = np.random.default_rng(909)
     margin = np.inf
     for _ in range(20):
-        f = lambda_filter(random_gaussian_field(GROUP32, rng), LambdaWindow(0.25))
+        f = lambda_filter(random_field(GROUP32, rng, modulation_scale=0.5),
+                          LambdaWindow(0.25))
         chk = gramian_lower_bound(kernel, f, bins, frame)
         margin = min(margin, chk["worst_margin"])
     ok = frame >= 0.5 and margin >= -1e-8

@@ -2,9 +2,9 @@ import numpy as np
 
 from heisenflag.checks import (
     BATTERY,
-    _random_field,
     check_context,
     default_context,
+    random_field,
     run_identity_battery,
 )
 
@@ -30,7 +30,8 @@ def test_battery_seed_changes_draws_not_verdicts():
     assert b["transform/plancherel"]["pass"]
     # different draws; the errors are rounding-level and may both be 0.0
     def field(seed):
-        return _random_field(check_context(seed, "transform/plancherel")).values
+        ctx = check_context(seed, "transform/plancherel")
+        return random_field(ctx.grid, ctx.rng).values
 
     assert np.array_equal(field(0), field(0))
     assert not np.array_equal(field(0), field(7))

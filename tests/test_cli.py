@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisenflag
 from heisenflag.cli import (
@@ -202,3 +204,49 @@ def test_config_dyadic_ladder_and_validation():
         load_config(None, {"mode": "bogus"})
     with pytest.raises(ConfigError):
         load_config(None, {"state_count": 48})
+
+
+@pytest.mark.parametrize("config", [
+    {"lambda_min": "x"}, {"eps": "x"}, {"n": 1.5}, {"shells": 3.0},
+    {"kernel": 5}, {"n": True}, {"strict_symmetric": 1}, {"eps": 10 ** 400},
+])
+def test_config_value_of_wrong_type_exits_config(tmp_path, capsys, config):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["estimates", "--config", str(cfgfile),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (out / "run.json").exists()
+
+
+def test_config_types_accepted():
+    # ints stand in for floats; out takes a string or null
+    cfg = load_config(None, {"eps": 0, "lambda_max": 4, "out": None})
+    assert cfg.lambda_max == 4 and cfg.out is None
+    assert load_config(None, {"out": "dir", "strict_symmetric": True}).out == "dir"
+    with pytest.raises(ConfigError):
+        load_config(None, {"out": 3})
+
+
+JSON_VALUES = st.one_of(
+    st.integers(), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+                       JSON_VALUES, max_size=6))
+def test_load_config_fuzz_validates_or_rejects(tmp_path_factory, data):
+    cfgfile = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfgfile.write_text(json.dumps(data))
+    try:
+        cfg = load_config(str(cfgfile), {})
+    except ConfigError:
+        return
+    cfg.validate()
+    for key, value in data.items():
+        got = getattr(cfg, key)
+        assert got == value or (got != got and value != value)  # nan echo

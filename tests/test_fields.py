@@ -66,7 +66,9 @@ def test_eval_at_interpolates_grid_points():
 
 
 def test_eval_at_off_grid_matches_closed_form():
-    from common import GROUP32, balanced_rates
+    from common import GROUP32
+
+    from heisenflag.checks import balanced_rates
 
     av, at = balanced_rates(GROUP32)
     f = gaussian_field(GROUP32, v_rate=av, t_rate=at)
@@ -91,6 +93,21 @@ def test_eval_at_policies():
     assert np.isclose(edge, clamped, atol=1e-12)
     with pytest.raises(ValueError):
         f.eval_at(inside, policy="nearest")
+
+
+def test_eval_at_edge_row_ignores_its_batch():
+    # a wide modulated Gaussian keeps visible values near the v edge H = 4
+    f = gaussian_field(GROUP16, v_rate=0.05, modulation=0.3)
+    d = GROUP16.axes[0].spacing
+    near = np.array([[4.0 - d / 2, 0.7, 0.3]])          # inside, past H - d
+    outside = np.array([[5.0, 0.0, 0.0]])
+    alone = f.eval_at(near, policy="edge")[0]
+    batched = f.eval_at(np.vstack([near, outside]), policy="edge")[0]
+    assert np.isclose(alone, batched, rtol=0, atol=1e-14)
+    # every row is clamped to [-H, H - d], inside ones too
+    last_cell = f.eval_at(np.array([[4.0 - d, 0.7, 0.3]]), policy="wrap")[0]
+    assert np.isclose(alone, last_cell, rtol=0, atol=1e-14)
+    assert abs(alone - f.eval_at(near, policy="wrap")[0]) > 1e-3
 
 
 def test_lambda_window():

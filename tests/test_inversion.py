@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from common import GROUP32, random_gaussian_field
+from common import GROUP32
 
+from heisenflag.checks import random_field
 from heisenflag.fields import LambdaWindow
 from heisenflag.grids import LineGrid
 from heisenflag.inversion import (
@@ -248,7 +249,8 @@ def test_gramian_lower_bound_on_random_banded_fields():
     bins = central_frequencies(GROUP32)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        f = lambda_filter(random_gaussian_field(GROUP32, rng), LambdaWindow(0.25))
+        f = lambda_filter(random_field(GROUP32, rng, modulation_scale=0.5),
+                          LambdaWindow(0.25))
         chk = gramian_lower_bound(kernel, f, bins, frame)
         assert chk["ok"]
         assert chk["worst_margin"] > -1e-8

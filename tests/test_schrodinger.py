@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from common import (
-    GROUP16,
-    GROUP32,
-    GROUPWIDE,
-    LINE64,
-    LINE128,
-    balanced_rates,
-    gauss_state,
-    random_gaussian_field,
-    random_state,
-)
+from common import GROUP16, GROUP32, GROUPWIDE, LINE64, LINE128
 from oracles import gauss_c_fun_closed_form
 
+from heisenflag.checks import balanced_rates, gauss_state, random_field, random_state
 from heisenflag.group import GroupPoint, group_inv, group_mul
 from heisenflag.schrodinger import (
     FiberOperator,
@@ -132,7 +123,7 @@ def test_big_c_factorization_both_signs():
 
 def test_pi_field_routes_agree():
     rng = np.random.default_rng(47)
-    f = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.3)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.3)
     for lam, tol in ((0.5, 1e-8), (-0.5, 1e-8), (0.25, 1e-4), (-0.25, 1e-4)):
         a = pi_field(f, lam, LINE64, route="quadrature")
         b = pi_field(f, lam, LINE64, route="kernel")
@@ -146,7 +137,7 @@ def test_pi_field_routes_coincide_at_unit_lambda():
     # at |lam| = 1 the scaled dual lattice equals the state lattice and the
     # wrap-policy kernel route reproduces the quadrature sum identically
     rng = np.random.default_rng(53)
-    f = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.3)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.3)
     for lam in (1.0, -1.0):
         a = pi_field(f, lam, LINE64, route="quadrature")
         b = pi_field(f, lam, LINE64, route="kernel", policy="wrap")
@@ -177,8 +168,8 @@ def test_pi_field_spike_kernel_is_approximate_identity():
 
 def test_pi_field_convolution_homomorphism():
     rng = np.random.default_rng(48)
-    f = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.3)
-    g = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.3)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.3)
+    g = random_field(GROUPWIDE, rng, modulation_scale=0.3)
     fg = convolve(f, g)
     for lam in (0.5, -0.5):
         lhs = pi_field(fg, lam, LINE64)
@@ -209,7 +200,7 @@ def test_rank_one_hs_and_action():
 
 def test_gramian_matches_slice_energy():
     rng = np.random.default_rng(50)
-    f = random_gaussian_field(GROUP32, rng, modulation_scale=0.3)
+    f = random_field(GROUP32, rng, modulation_scale=0.3)
     for lam in (0.5, -0.5, 0.25, -0.25):
         slice_e = central_slice_energy(f, lam)
         gram = gramian(f, lam, LINE64)
@@ -218,7 +209,7 @@ def test_gramian_matches_slice_energy():
 
 def test_gramian_sums_to_norm():
     rng = np.random.default_rng(51)
-    f = random_gaussian_field(GROUP32, rng, modulation_scale=0.4)
+    f = random_field(GROUP32, rng, modulation_scale=0.4)
     lam = GROUP32.t_axis.freqs()
     dl = GROUP32.t_axis.freq_spacing
     total = dl * sum(gramian(f, float(l), LINE64) for l in lam if l != 0.0)
@@ -230,7 +221,7 @@ def test_gramian_sums_to_norm():
 
 def test_operator_container_roundtrip(tmp_path):
     rng = np.random.default_rng(52)
-    f = random_gaussian_field(GROUP32, rng)
+    f = random_field(GROUP32, rng, modulation_scale=0.5)
     a = pi_field(f, 0.5, LINE64)
     p = tmp_path / "op.hfc"
     save_operator(a, p)

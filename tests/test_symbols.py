@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from common import GROUPWIDE, LINE64, balanced_rates, random_gaussian_field
+from common import GROUPWIDE, LINE64
+from oracles import symbol_interpolant_literal
 
+from heisenflag.checks import balanced_rates, random_field
 from heisenflag.kernels import make_spectrum
+from heisenflag.grids import LineGrid
 from heisenflag.schrodinger import hs_norm, pi_field
 from heisenflag.symbols import (
     CallableSpectrum,
     SymbolGrid,
     SympySpectrum,
+    evaluate_symbol,
     fiber_symbol,
     fiber_symbol_of_field,
     flag_estimate_report,
@@ -76,7 +80,7 @@ def test_dictionary_symbol_of_compression_matches_field_route():
     # Kohn-Nirenberg symbol of the compressed operator == fiber symbol read
     # from the transformed kernel samples
     rng = np.random.default_rng(63)
-    f = random_gaussian_field(GROUPWIDE, rng, modulation_scale=0.2)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.2)
     for lam in (0.5, -0.5):
         via_op = kn_symbol_of(pi_field(f, lam, LINE64))
         via_hat = fiber_symbol_of_field(f, lam, LINE64)
@@ -137,3 +141,30 @@ def test_finite_difference_path_matches_analytic_rows():
 def test_sym0_constants_bounded_for_riesz():
     table = sym0_seminorms(make_spectrum("riesz"), shells=7, directions=6)
     assert table and all(v < 50.0 for v in table.values())
+
+
+def test_evaluate_symbol_footprint_is_half_open():
+    g = LineGrid(8, 2.0)
+    a = unit_symbol(1.0, g)        # the interpolant is 1 everywhere
+    H, L = g.freq_half_width, g.half_width
+    xi = np.array([[-H], [H], [0.3], [0.3]])
+    s = np.array([[0.1], [0.1], [-L], [L]])
+    got = evaluate_symbol(a, xi, s, policy="zero")
+    assert np.allclose(got, [1.0, 0.0, 1.0, 0.0], rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        evaluate_symbol(a, xi, s[:, :0])
+
+
+def test_evaluate_symbol_matches_literal_interpolant():
+    rng = np.random.default_rng(41)
+    g = LineGrid(16, 2.0)
+    a = random_symbol(0.5, g, rng)
+    H, L = g.freq_half_width, g.half_width
+    xi = rng.uniform(-H, H, size=(12, 1))
+    s = rng.uniform(-L, L, size=(12, 1))
+    want = symbol_interpolant_literal(a.values, g.points(), g.freqs(), xi[:, 0], s[:, 0])
+    got = evaluate_symbol(a, xi, s)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # lattice coincidences return the table itself
+    on = evaluate_symbol(a, g.freqs()[[3, 9]][:, None], g.points()[[5, 0]][:, None])
+    assert np.allclose(on, a.values[[3, 9], [5, 0]], rtol=0, atol=1e-12)

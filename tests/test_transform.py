@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from common import GROUP16, GROUP32, GROUP8, balanced_rates, random_gaussian_field
+from common import GROUP16, GROUP32, GROUP8
 from oracles import direct_convolution, gaussian_transform_1d
 
+from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag.grids import group_grid
 from heisenflag.group import GroupPoint, group_inv
@@ -25,7 +26,7 @@ from heisenflag.transform import (
 )
 
 
-def random_field(grid, rng):
+def noise_field(grid, rng):
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     return SampledField(grid, vals)
 
@@ -33,13 +34,13 @@ def random_field(grid, rng):
 def test_plancherel_exact():
     rng = np.random.default_rng(21)
     for grid in (GROUP8, GROUP16):
-        f = random_field(grid, rng)
+        f = noise_field(grid, rng)
         assert np.isclose(l2_norm(f), l2_norm(fourier(f)), rtol=1e-13)
 
 
 def test_roundtrip_exact():
     rng = np.random.default_rng(22)
-    f = random_field(GROUP16, rng)
+    f = noise_field(GROUP16, rng)
     back = inverse_fourier(fourier(f))
     assert np.max(np.abs(back.values - f.values)) < 1e-12
     assert back.side == "group"
@@ -47,7 +48,7 @@ def test_roundtrip_exact():
 
 def test_partial_transforms_compose_to_full():
     rng = np.random.default_rng(23)
-    f = random_field(GROUP16, rng)
+    f = noise_field(GROUP16, rng)
     step = partial_fourier(partial_fourier(f, (0, 1)), 2)
     assert step.side == "dual"
     assert np.max(np.abs(step.values - fourier(f).values)) < 1e-12
@@ -59,7 +60,7 @@ def test_partial_transforms_compose_to_full():
 
 def test_mixed_side_norms_preserved():
     rng = np.random.default_rng(24)
-    f = random_field(GROUP16, rng)
+    f = noise_field(GROUP16, rng)
     part = partial_fourier(f, 2)
     assert part.side == "mixed"
     assert np.isclose(part.l2_norm(), f.l2_norm(), rtol=1e-13)
@@ -80,8 +81,8 @@ def test_gaussian_transform_closed_form():
 
 def test_convolution_matches_direct_oracle():
     rng = np.random.default_rng(25)
-    f = random_gaussian_field(GROUP8, rng, modulation_scale=0.2)
-    g = random_gaussian_field(GROUP8, rng, modulation_scale=0.2)
+    f = random_field(GROUP8, rng, modulation_scale=0.2)
+    g = random_field(GROUP8, rng, modulation_scale=0.2)
     got = convolve(f, g)
     want = direct_convolution(f, g)
     assert np.max(np.abs(got.values - want)) < 1e-11
@@ -115,7 +116,7 @@ def test_convolution_matches_continuum_quadrature():
 
 def test_spike_is_neutral():
     rng = np.random.default_rng(26)
-    f = random_gaussian_field(GROUP16, rng)
+    f = random_field(GROUP16, rng, modulation_scale=0.5)
     d = spike_field(GROUP16)
     for h in (convolve(f, d), convolve(d, f)):
         assert np.max(np.abs(h.values - f.values)) < 1e-10 * np.max(np.abs(f.values))
@@ -131,7 +132,7 @@ def test_central_factors_commute():
     )
     central = SampledField(grid, vals)
     rng = np.random.default_rng(27)
-    f = random_gaussian_field(grid, rng)
+    f = random_field(grid, rng, modulation_scale=0.5)
     lhs = convolve(f, central)
     rhs = convolve(central, f)
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10 * np.max(np.abs(lhs.values))
@@ -156,7 +157,7 @@ def test_convolution_associative_on_gaussians():
 
 def test_star_is_involutive_and_isometric():
     rng = np.random.default_rng(29)
-    f = random_gaussian_field(GROUP32, rng, modulation_scale=0.25)
+    f = random_field(GROUP32, rng, modulation_scale=0.25)
     ff = star_involution(star_involution(f))
     # residual is the band-limitation defect of the sheared interpolant
     assert np.max(np.abs(ff.values - f.values)) < 1e-8 * np.max(np.abs(f.values))
@@ -167,7 +168,7 @@ def test_group_reflect_matches_interpolant_at_inverse_points():
     # at lattice points the reflected samples equal the interpolant of f
     # composed with the group inverse, exactly
     rng = np.random.default_rng(39)
-    f = random_gaussian_field(GROUP32, rng, modulation_scale=0.4)
+    f = random_field(GROUP32, rng, modulation_scale=0.4)
     r = group_reflect(f)
     ii = rng.integers(2, 30, 20)
     jj = rng.integers(2, 30, 20)
@@ -215,14 +216,14 @@ def test_star_antihomomorphism():
 
 def test_group_reflect_involutive():
     rng = np.random.default_rng(31)
-    f = random_gaussian_field(GROUP32, rng, modulation_scale=0.25)
+    f = random_field(GROUP32, rng, modulation_scale=0.25)
     rr = group_reflect(group_reflect(f))
     assert np.max(np.abs(rr.values - f.values)) < 1e-8 * np.max(np.abs(f.values))
 
 
 def test_lambda_filter_projection():
     rng = np.random.default_rng(32)
-    f = random_field(GROUP16, rng)
+    f = noise_field(GROUP16, rng)
     win = LambdaWindow(0.5)
     pf = lambda_filter(f, win)
     pf2 = lambda_filter(pf, win)
@@ -240,7 +241,7 @@ def test_lambda_filter_projection():
 
 def test_slice_energy_decomposes_norm():
     rng = np.random.default_rng(33)
-    f = random_gaussian_field(GROUP16, rng, modulation_scale=0.4)
+    f = random_field(GROUP16, rng, modulation_scale=0.4)
     lam = central_frequencies(GROUP16)
     dl = GROUP16.t_axis.freq_spacing
     total = dl * sum(central_slice_energy(f, float(l)) for l in lam)
