@@ -93,6 +93,19 @@ class ExperimentConfig:
             raise ConfigError("multi-index ranges must be >= 0")
         if not math.isfinite(self.eps):
             raise ConfigError(f"eps must be finite, got {self.eps}")
+        # out of range, a gate is switched off (every comparison with nan
+        # is false) or fails every run
+        for name, ok, rule in (
+            ("sigma_floor", self.sigma_floor > 0, "> 0"),
+            ("residual_tol", self.residual_tol > 0, "> 0"),
+            ("cond_limit", self.cond_limit >= 1, ">= 1"),
+            ("blowup_factor", self.blowup_factor > 1, "> 1"),
+        ):
+            if not (math.isfinite(getattr(self, name)) and ok):
+                raise ConfigError(f"{name} must be finite and {rule}, "
+                                  f"got {getattr(self, name)}")
+        if self.draws < 1:
+            raise ConfigError(f"draws must be >= 1, got {self.draws}")
 
     # -- derived objects --
 

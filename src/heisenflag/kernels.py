@@ -13,7 +13,9 @@ and exp, the operators + - * / ^ and parentheses, e.g.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,6 +103,12 @@ _TOKEN = re.compile(
 
 _FUNCTIONS = {"abs": sp.Abs, "sqrt": sp.sqrt, "exp": sp.exp}
 
+# parentheses, function calls, signs and exponents nest the descent; past
+# this depth the parser, and sympy after it, would run out of stack
+_MAX_DEPTH = 64
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 class KernelParseError(ValueError):
     pass
@@ -120,6 +128,7 @@ class _Parser:
             kind = m.lastgroup
             self.tokens.append((kind, m.group(kind)))
         self.pos = 0
+        self.depth = 0
         self.vars = {f"w{i + 1}": s for i, s in
                      enumerate(sp.symbols(f"w1:{2 * n + 1}"))}
         self.vars["lam"] = sp.Symbol("lam")
@@ -159,17 +168,30 @@ class _Parser:
         return node
 
     def unary(self):
-        # binds looser than ^ so -w1^2 means -(w1^2)
-        if self.peek()[1] == "-":
-            self.take()
-            return -self.unary()
-        return self.power()
+        # every nesting cycle of the grammar passes through here
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise KernelParseError(f"expression nests deeper than {_MAX_DEPTH}")
+        try:
+            # binds looser than ^ so -w1^2 means -(w1^2)
+            if self.peek()[1] == "-":
+                self.take()
+                return -self.unary()
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self):
         base = self.atom()
         if self.peek()[1] == "^":
             self.take()
-            return base ** self.unary()     # right associative, signed exponent
+            exp = self.unary()              # right associative, signed exponent
+            if base.is_Number and exp.is_Number and base != 0 \
+                    and abs(float(abs(exp)) * float(sp.log(abs(base)))) > _LOG_FLOAT_MAX:
+                # refuse before sympy evaluates it exactly
+                raise KernelParseError(
+                    "a numeric power is beyond floating-point range")
+            return base ** exp
         return base
 
     def atom(self):
@@ -198,7 +220,11 @@ class _Parser:
 
 
 def parse_kernel_expression(text: str, n: int) -> sp.Expr:
-    return _Parser(text, n).parse()
+    try:
+        return _Parser(text, n).parse()
+    except ZeroDivisionError as exc:
+        # sympy divides Floats eagerly: 1./0. raises where 1/0 gives zoo
+        raise KernelParseError("division by zero") from exc
 
 
 def make_spectrum(spec: str, n: int = 1, eps: float = 0.5) -> SympySpectrum:

@@ -164,20 +164,31 @@ class CallableSpectrum(Spectrum):
 
 
 class SympySpectrum(Spectrum):
-    """Symbol family given by a sympy expression in w1..w_{2n} and lam."""
+    """Symbol family given by a sympy expression in w1..w_{2n} and lam.
+
+    Derivatives are built one order at a time, each from its cached parent
+    one order down, and compiled with common-subexpression elimination:
+    the members of one family share most of their subexpressions.
+    """
 
     def __init__(self, expr, n: int, symmetric: bool = False):
         super().__init__(n, symmetric)
-        self._w = sp.symbols(f"w1:{2 * n + 1}", real=True)
-        self._lam = sp.Symbol("lam", real=True)
+        w = sp.symbols(f"w1:{2 * n + 1}", real=True)
+        lam = sp.Symbol("lam", real=True)
         # rebind by name so |lam| differentiates to sign(lam), not re/im parts
-        named = {s.name: s for s in (*self._w, self._lam)}
+        named = {s.name: s for s in (*w, lam)}
         expr = sp.sympify(expr)
         unknown = {s for s in expr.free_symbols if s.name not in named}
         if unknown:
             raise ValueError(f"unknown symbols in spectrum expression: {unknown}")
-        self.expr = expr.subs({s: named[s.name] for s in expr.free_symbols})
-        self._fn = sp.lambdify((*self._w, self._lam), self.expr, "numpy")
+        expr = expr.subs({s: named[s.name] for s in expr.free_symbols})
+        if expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+            raise ValueError(f"spectrum expression is not finite: {expr}")
+        self._bind(expr, w, lam)
+
+    def _bind(self, expr, w, lam) -> None:
+        self._w, self._lam, self.expr = w, lam, expr
+        self._fn = sp.lambdify((*w, lam), expr, "numpy", cse=True)
         self._dcache: dict = {}
 
     def _evaluate(self, W, lam):
@@ -185,21 +196,26 @@ class SympySpectrum(Spectrum):
         return np.broadcast_to(np.asarray(out), (W.shape[0],)).astype(complex)
 
     def derivative(self, alpha: Sequence[int], beta: int) -> "SympySpectrum":
-        key = (tuple(alpha), int(beta))
+        alpha, beta = tuple(int(a) for a in alpha), int(beta)
+        if not any(alpha) and not beta:
+            return self
+        key = (alpha, beta)
         cached = self._dcache.get(key)
         if cached is not None:
             return cached
-        expr = self.expr
-        for w, a in zip(self._w, alpha):
-            if a:
-                expr = sp.diff(expr, w, a)
         if beta:
-            expr = sp.diff(expr, self._lam, beta)
+            expr = sp.diff(self.derivative(alpha, beta - 1).expr, self._lam)
             # |lam| beyond first order leaves delta terms supported on the
             # excluded lam = 0 plane; they vanish wherever we evaluate
             expr = expr.replace(
                 lambda e: isinstance(e, sp.DiracDelta), lambda e: sp.S.Zero)
-        out = SympySpectrum(expr, self.n, symmetric=False)
+        else:
+            i = max(k for k, a in enumerate(alpha) if a)
+            down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            expr = sp.diff(self.derivative(down, 0).expr, self._w[i])
+        out = SympySpectrum.__new__(SympySpectrum)
+        Spectrum.__init__(out, self.n)
+        out._bind(expr, self._w, self._lam)
         self._dcache[key] = out
         return out
 
@@ -346,22 +362,31 @@ def _shell_points(n: int, radius: float, directions: int) -> np.ndarray:
     return radius * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _normalized_derivative(spec: Spectrum, alpha, beta, lam, pts,
-                           derived: "Spectrum | None" = None) -> np.ndarray:
-    d = derived if derived is not None else spec.derivative(alpha, beta)
-    if d is not None:
-        vals = d(pts, lam)
+def _normalized_derivative(spec: Spectrum, derived: "Spectrum | None",
+                           alpha, beta, lam, pts) -> np.ndarray:
+    """Normalized derivative at shell blocks `pts` of shape (shells, m, 2n).
+
+    An analytic `derived` family takes every row in one call; without one,
+    finite differences of `spec` step each shell block with its own
+    spacing, scaled to the block's radius.
+    """
+    shells, m, dim = pts.shape
+    if derived is not None:
+        vals = derived(pts.reshape(-1, dim), lam).reshape(shells, m)
     else:
         def joint(q):
             return spec(q[:, :-1], q[:, -1])
 
-        r = float(np.linalg.norm(pts[0]))
-        h_w = 0.02 * (r + np.sqrt(abs(lam)))
-        # the lam step must stay clear of the |lam| kink at zero
-        h = [h_w] * (2 * spec.n) + [0.02 * abs(lam)]
-        q = np.concatenate([pts, np.full((len(pts), 1), lam)], axis=1)
-        vals = partial_cloud(joint, q, (*alpha, beta), h)
-    r = np.linalg.norm(pts, axis=1)
+        blocks = []
+        for block in pts:
+            r = float(np.linalg.norm(block[0]))
+            h_w = 0.02 * (r + np.sqrt(abs(lam)))
+            # the lam step must stay clear of the |lam| kink at zero
+            h = [h_w] * dim + [0.02 * abs(lam)]
+            q = np.concatenate([block, np.full((m, 1), lam)], axis=1)
+            blocks.append(partial_cloud(joint, q, (*alpha, beta), h))
+        vals = np.stack(blocks)
+    r = np.linalg.norm(pts, axis=2)
     return np.abs(vals) * r ** sum(alpha) * (r ** 2 + abs(lam)) ** beta
 
 
@@ -396,15 +421,13 @@ def flag_estimate_report(spec: Spectrum,
     if lam_values is None:
         lam_values = [s * 2.0 ** j for j in range(-3, 4) for s in (1, -1)]
     radii = np.geomspace(rmin, rmax, shells)
+    pts = np.stack([_shell_points(spec.n, r, directions) for r in radii])
     report = SeminormReport(blowup_factor=blowup_factor)
     for alpha, beta in indices:
         derived = spec.derivative(alpha, beta)
         for lam in lam_values:
-            sups = []
-            for r in radii:
-                pts = _shell_points(spec.n, r, directions)
-                sups.append(float(np.max(_normalized_derivative(
-                    spec, alpha, beta, lam, pts, derived=derived))))
+            sups = [float(v) for v in np.max(_normalized_derivative(
+                spec, derived, alpha, beta, lam, pts), axis=1)]
             # reference over the middle third: a single zero crossing at one
             # mid radius must not trip the ratio test
             core = sups[len(sups) // 3:2 * len(sups) // 3 + 1]

@@ -73,6 +73,14 @@ def test_config_errors(tmp_path):
     bad.write_text(json.dumps({"v_count": 33}))
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["identities", "--grid", "32,4.0"]) == EXIT_CONFIG
+    # gate values that would switch a gate off or fail every run
+    for gate in ({"sigma_floor": -1}, {"sigma_floor": 0}, {"residual_tol": float("nan")},
+                 {"residual_tol": float("inf")}, {"cond_limit": -5},
+                 {"cond_limit": 0.5}, {"blowup_factor": 1},
+                 {"blowup_factor": float("nan")}, {"draws": 0}):
+        bad.write_text(json.dumps(gate))
+        assert main(["invert", "--config", str(bad)]) == EXIT_CONFIG, gate
+        assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG, gate
     assert main(["estimates", "--kernel", "expr: w3 + 1"]) == EXIT_CONFIG
     assert main(["estimates", "--kernel", "no-such-kernel"]) == EXIT_CONFIG
     assert main(["no-such-command"]) == EXIT_CONFIG
@@ -181,17 +189,32 @@ def test_library_value_error_exits_config(tmp_path, capsys):
     assert not (out / "run.json").exists()
 
 
-def test_module_entry_point(tmp_path):
+def run_module(*args):
     src = Path(heisenflag.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "heisenflag", "report",
-         "--out", str(tmp_path / "missing")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "heisenflag", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module("report", "--out", str(tmp_path / "missing"))
     assert proc.returncode == EXIT_CONFIG
     assert "no run.json" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("expr", [
+    "1/0", "0^-1", "w1/0",                    # non-finite constants
+    "(" * 2000 + "w1" + ")" * 2000,          # nesting beyond the stack
+    "9^9^9",                                  # a 370M-digit integer
+], ids=["one-over-zero", "zero-to-minus-one", "w1-over-zero",
+        "nested-2000", "power-tower"])
+def test_inline_kernel_that_crashed_or_hung_exits_config(expr):
+    proc = run_module("estimates", "--kernel", f"expr: {expr}")
+    assert proc.returncode == EXIT_CONFIG
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_dyadic_ladder_and_validation():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heisenflag.kernels import (
     CATALOG,
@@ -8,6 +10,7 @@ from heisenflag.kernels import (
     make_spectrum,
     parse_kernel_expression,
 )
+from heisenflag.symbols import SympySpectrum
 
 
 def test_catalog_entries_instantiate_and_evaluate():
@@ -74,6 +77,8 @@ def test_parser_and_catalog_errors():
     with pytest.raises(KernelParseError):
         make_spectrum("expr: w1 w2")
     with pytest.raises(KernelParseError):
+        make_spectrum("expr: 1./0.")        # sympy raises on Float division
+    with pytest.raises(KernelParseError):
         make_spectrum("no-such-kernel")
     with pytest.raises(KernelParseError):
         make_spectrum("perturbed-identity", eps=1.5)
@@ -83,3 +88,85 @@ def test_rank_two_variables():
     spec = make_spectrum("expr: w1*w4 + lam", n=2)
     got = spec(np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0.5]))[0]
     assert np.isclose(got, 4.5)
+
+
+# -- grammar properties ----------------------------------------------------------
+
+FUNCTIONS = {"abs": sp.Abs, "sqrt": sp.sqrt, "exp": sp.exp}
+BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def expression_trees(n):
+    """(inline text, sympy tree) pairs over w1..w_{2n}, lam and numbers,
+    combined with abs/sqrt/exp, + - * / and small integer powers."""
+    names = [f"w{i + 1}" for i in range(2 * n)] + ["lam"]
+    leaves = st.one_of(
+        st.sampled_from(names).map(lambda v: (v, sp.Symbol(v))),
+        st.integers(0, 20).map(lambda k: (str(k), sp.Integer(k))),
+        st.floats(0.01, 10.0).map(lambda x: f"{x:.3f}").map(
+            lambda t: (t, sp.Float(t))))
+
+    def call(args):
+        fn, (text, tree) = args
+        return f"{fn}({text})", FUNCTIONS[fn](tree)
+
+    def binary(args):
+        op, (ta, a), (tb, b) = args
+        return f"({ta} {op} {tb})", BINARY[op](a, b)
+
+    def power(args):
+        (text, tree), k = args
+        return f"({text})^{k}", tree ** k
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(call),
+            sub.map(lambda a: (f"-({a[0]})", -a[1])),
+            st.tuples(st.sampled_from(sorted(BINARY)), sub, sub).map(binary),
+            st.tuples(sub, st.integers(-3, 3)).map(power))
+
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grammar_round_trip(data):
+    n = data.draw(st.integers(1, 2))
+    text, tree = data.draw(expression_trees(n))
+    assume(not tree.has(sp.zoo, sp.oo, -sp.oo, sp.nan))
+    parsed = parse_kernel_expression(text, n)
+    syms = [sp.Symbol(f"w{i + 1}") for i in range(2 * n)] + [sp.Symbol("lam")]
+    rng = np.random.default_rng(72)
+    rows = rng.uniform(-2, 2, size=(2 * n + 1, 16))
+    rows[-1] = np.where(np.abs(rows[-1]) < 0.1, 0.5, rows[-1])     # lam != 0
+    with np.errstate(all="ignore"):
+        got, want = (np.broadcast_to(sp.lambdify(syms, e, "numpy")(*rows), (16,))
+                     for e in (parsed, tree))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, equal_nan=True)
+
+
+TOKENS = ["w1", "w2", "w3", "w4", "lam", "abs", "sqrt", "exp", "sin",
+          "0", "1", "9", "99", "0.5", ".5", "1e3", "2E-2", "e",
+          "+", "-", "*", "/", "^", "(", ")", ",", " ", "@"]
+
+
+@st.composite
+def token_strings(draw):
+    """Token soup, or a grammatical expression with tokens spliced in."""
+    tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=24))
+    text = draw(st.one_of(st.just(""), expression_trees(2).map(lambda p: p[0])))
+    for tok in tokens:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + tok + text[at:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_strings(), st.integers(1, 2))
+def test_grammar_rejects_or_builds(text, n):
+    try:
+        spec = make_spectrum(f"expr: {text}", n=n)
+    except ValueError:              # KernelParseError is a ValueError
+        return
+    assert isinstance(spec, SympySpectrum)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -136,6 +138,41 @@ def test_finite_difference_path_matches_analytic_rows():
         floor = 1e-4 * max(x.shell_sup)  # difference noise floor of the stencil
         for sa, sb in zip(x.shell_sup, y.shell_sup):
             assert abs(sa - sb) <= 2e-2 * sa + floor
+
+
+def test_derivatives_from_cached_parents_match_direct_diff():
+    # the order-3 benchmark family: each index is built one order down from
+    # its cached parent and compiled with CSE; the reference differentiates
+    # the base expression afresh for every index and compiles without CSE
+    spec = make_spectrum(
+        "expr: 1/(1 + 0.1*(w1^2 + w2^2)/(w1^2 + w2^2 + abs(lam)))")
+    w1, w2, lam = (*spec._w, spec._lam)
+    rng = np.random.default_rng(64)
+    W = rng.uniform(-3, 3, size=(40, 2))
+    lams = rng.uniform(0.05, 4, size=40) * rng.choice([-1, 1], size=40)
+    for a1, a2, beta in itertools.product(range(4), range(4), range(3)):
+        if a1 + a2 > 3:
+            continue
+        want = spec.expr
+        for var in [w1] * a1 + [w2] * a2 + [lam] * beta:
+            want = sp.diff(want, var)
+        want = want.replace(lambda e: isinstance(e, sp.DiracDelta),
+                            lambda e: sp.S.Zero)
+        ref = np.broadcast_to(
+            sp.lambdify((w1, w2, lam), want, "numpy")(W[:, 0], W[:, 1], lams), (40,))
+        got = spec.derivative((a1, a2), beta)(W, lams)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale, (a1, a2, beta)
+    assert spec.derivative((0, 0), 0) is spec
+    assert spec.derivative((1, 2), 1) is spec.derivative([1, 2], 1)  # cached
+
+
+def test_lambda_derivatives_drop_delta_terms():
+    spec = make_spectrum("riesz")
+    for alpha in ((0, 0), (1, 0), (0, 2)):
+        d2 = spec.derivative(alpha, 2)
+        assert d2.expr.has(sp.Abs) or d2.expr.has(sp.sign)
+        assert not d2.expr.has(sp.DiracDelta)
 
 
 def test_sym0_constants_bounded_for_riesz():
