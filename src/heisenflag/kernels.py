@@ -197,6 +197,9 @@ class _Parser:
     def atom(self):
         kind, val = self.take()
         if kind == "num":
+            if not math.isfinite(float(val)):
+                raise KernelParseError(
+                    f"number {val} is beyond floating-point range")
             return sp.Rational(val) if "." not in val and "e" not in val.lower() \
                 else sp.Float(val)
         if kind == "name":

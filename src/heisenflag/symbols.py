@@ -33,6 +33,7 @@ import sympy as sp
 from .fields import SampledField
 from .finitediff import partial_cloud
 from .grids import Grid, LineGrid, flat_coords, flat_phase
+from .jets import compile_tree, evaluate, truncation
 from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
 
@@ -128,9 +129,10 @@ def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
 class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
-    Subclasses implement `_evaluate(W, lam)`; `derivative` returns an
-    analytically differentiated family when one is available, else None
-    and callers fall back to finite differences.
+    Subclasses implement `_evaluate(W, lam)`. Families with an analytic
+    form also implement `derivatives`, and `derivative` returns one of
+    them as a family; without one both return None and callers fall back
+    to finite differences.
     """
 
     def __init__(self, n: int, symmetric: bool = False):
@@ -139,15 +141,22 @@ class Spectrum:
         self.n = n
         self.symmetric = symmetric
 
-    def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
+    def _rows(self, W, lam) -> tuple:
         W = np.atleast_2d(np.asarray(W, dtype=float))
         if W.shape[1] != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} covariable columns")
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (W.shape[0],))
-        return self._evaluate(W, lam)
+        return W, np.broadcast_to(np.asarray(lam, dtype=float), (W.shape[0],))
+
+    def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
+        return self._evaluate(*self._rows(W, lam))
 
     def _evaluate(self, W: np.ndarray, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def derivatives(self, indices: Sequence, W: np.ndarray,
+                    lam: np.ndarray | float) -> "np.ndarray | None":
+        """Rows d_w^alpha d_lam^beta a(W, lam), one per (alpha, beta)."""
+        return None
 
     def derivative(self, alpha: Sequence[int], beta: int) -> "Spectrum | None":
         return None
@@ -166,9 +175,12 @@ class CallableSpectrum(Spectrum):
 class SympySpectrum(Spectrum):
     """Symbol family given by a sympy expression in w1..w_{2n} and lam.
 
-    Derivatives are built one order at a time, each from its cached parent
-    one order down, and compiled with common-subexpression elimination:
-    the members of one family share most of their subexpressions.
+    The expression is compiled once into a tape of Taylor-jet rules
+    (`heisenflag.jets`). One pass over the tape yields every derivative
+    d_w^alpha d_lam^beta of a scan at once, and order 0 of the same pass is
+    the family's value. |lam| differentiates to sign(lam): the delta terms
+    of its higher derivatives live on the excluded lam = 0 plane.
+    `derivative(alpha, beta)` returns a cached view onto that evaluator.
     """
 
     def __init__(self, expr, n: int, symmetric: bool = False):
@@ -181,43 +193,42 @@ class SympySpectrum(Spectrum):
         unknown = {s for s in expr.free_symbols if s.name not in named}
         if unknown:
             raise ValueError(f"unknown symbols in spectrum expression: {unknown}")
-        expr = expr.subs({s: named[s.name] for s in expr.free_symbols})
-        if expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-            raise ValueError(f"spectrum expression is not finite: {expr}")
-        self._bind(expr, w, lam)
+        self.expr = expr.subs({s: named[s.name] for s in expr.free_symbols})
+        self.symbols = (*w, lam)
+        self._tape = compile_tree(self.expr, self.symbols)
+        self._views: dict = {}
 
-    def _bind(self, expr, w, lam) -> None:
-        self._w, self._lam, self.expr = w, lam, expr
-        self._fn = sp.lambdify((*w, lam), expr, "numpy", cse=True)
-        self._dcache: dict = {}
+    def derivatives(self, indices, W, lam):
+        W, lam = self._rows(W, lam)
+        indices = [(tuple(int(a) for a in alpha), int(beta)) for alpha, beta in indices]
+        tr = truncation(2 * self.n, max((sum(a) for a, _ in indices), default=0),
+                        max((b for _, b in indices), default=0))
+        jet = evaluate(self._tape, tr, [*W.T, lam])
+        rows = [tr.index[(*alpha, beta)] for alpha, beta in indices]
+        return (tr.factorials[rows, None] * jet[rows]).astype(complex)
 
     def _evaluate(self, W, lam):
-        out = self._fn(*(W[:, i] for i in range(2 * self.n)), lam)
-        return np.broadcast_to(np.asarray(out), (W.shape[0],)).astype(complex)
+        return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
 
-    def derivative(self, alpha: Sequence[int], beta: int) -> "SympySpectrum":
+    def derivative(self, alpha: Sequence[int], beta: int) -> Spectrum:
         alpha, beta = tuple(int(a) for a in alpha), int(beta)
         if not any(alpha) and not beta:
             return self
-        key = (alpha, beta)
-        cached = self._dcache.get(key)
-        if cached is not None:
-            return cached
-        if beta:
-            expr = sp.diff(self.derivative(alpha, beta - 1).expr, self._lam)
-            # |lam| beyond first order leaves delta terms supported on the
-            # excluded lam = 0 plane; they vanish wherever we evaluate
-            expr = expr.replace(
-                lambda e: isinstance(e, sp.DiracDelta), lambda e: sp.S.Zero)
-        else:
-            i = max(k for k, a in enumerate(alpha) if a)
-            down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            expr = sp.diff(self.derivative(down, 0).expr, self._w[i])
-        out = SympySpectrum.__new__(SympySpectrum)
-        Spectrum.__init__(out, self.n)
-        out._bind(expr, self._w, self._lam)
-        self._dcache[key] = out
-        return out
+        view = self._views.get((alpha, beta))
+        if view is None:
+            view = self._views[alpha, beta] = _DerivativeView(self, alpha, beta)
+        return view
+
+
+class _DerivativeView(Spectrum):
+    """d_w^alpha d_lam^beta of a `SympySpectrum`, read off its jet pass."""
+
+    def __init__(self, family: SympySpectrum, alpha: tuple, beta: int):
+        super().__init__(family.n)
+        self._family, self._index = family, (alpha, beta)
+
+    def _evaluate(self, W, lam):
+        return self._family.derivatives([self._index], W, lam)[0]
 
 
 # -- fiber sampling ------------------------------------------------------------
@@ -362,17 +373,17 @@ def _shell_points(n: int, radius: float, directions: int) -> np.ndarray:
     return radius * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _normalized_derivative(spec: Spectrum, derived: "Spectrum | None",
+def _normalized_derivative(spec: Spectrum, vals: "np.ndarray | None",
                            alpha, beta, lam, pts) -> np.ndarray:
     """Normalized derivative at shell blocks `pts` of shape (shells, m, 2n).
 
-    An analytic `derived` family takes every row in one call; without one,
-    finite differences of `spec` step each shell block with its own
+    `vals` holds the analytic derivative at the flattened rows; without
+    it, finite differences of `spec` step each shell block with its own
     spacing, scaled to the block's radius.
     """
     shells, m, dim = pts.shape
-    if derived is not None:
-        vals = derived(pts.reshape(-1, dim), lam).reshape(shells, m)
+    if vals is not None:
+        vals = vals.reshape(shells, m)
     else:
         def joint(q):
             return spec(q[:, :-1], q[:, -1])
@@ -422,12 +433,19 @@ def flag_estimate_report(spec: Spectrum,
         lam_values = [s * 2.0 ** j for j in range(-3, 4) for s in (1, -1)]
     radii = np.geomspace(rmin, rmax, shells)
     pts = np.stack([_shell_points(spec.n, r, directions) for r in radii])
+    indices, lam_values = list(indices), list(lam_values)
+    # one jet pass per lam gives every index; rows stay ordered by index
+    table = np.empty((len(indices), len(lam_values), shells))
+    for j, lam in enumerate(lam_values):
+        derived = spec.derivatives(indices, pts.reshape(-1, 2 * spec.n), lam)
+        for i, (alpha, beta) in enumerate(indices):
+            table[i, j] = np.max(_normalized_derivative(
+                spec, None if derived is None else derived[i],
+                alpha, beta, lam, pts), axis=1)
     report = SeminormReport(blowup_factor=blowup_factor)
-    for alpha, beta in indices:
-        derived = spec.derivative(alpha, beta)
-        for lam in lam_values:
-            sups = [float(v) for v in np.max(_normalized_derivative(
-                spec, derived, alpha, beta, lam, pts), axis=1)]
+    for (alpha, beta), row in zip(indices, table):
+        for lam, shell_sup in zip(lam_values, row):
+            sups = [float(v) for v in shell_sup]
             # reference over the middle third: a single zero crossing at one
             # mid radius must not trip the ratio test
             core = sups[len(sups) // 3:2 * len(sups) // 3 + 1]

@@ -6,6 +6,7 @@ two is evidence, not tautology.
 """
 
 import numpy as np
+import sympy as sp
 
 from heisenflag.fields import SampledField
 from heisenflag.grids import Grid
@@ -90,3 +91,42 @@ def gauss_c_fun_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_{g,g}(x, y) for the unit Gaussian g(u) = exp(-pi u^2)."""
     return (np.exp(-np.pi * (x ** 2 + y ** 2) / 2.0)
             * np.exp(-1j * np.pi * x * y) / np.sqrt(2.0))
+
+
+def sympy_derivatives(spec, indices) -> dict:
+    """d_w^alpha d_lam^beta of a `SympySpectrum`'s expression by `sp.diff`,
+    compiled with `lambdify`: {(alpha, beta): f(W, lam) -> (m,) array}.
+
+    Each index is differentiated one variable at a time from the next
+    lower one. Terms in DiracDelta, which abs leaves on the plane where its
+    argument vanishes, are dropped after each step: the comparison points
+    lie off those planes. Raises NotImplementedError where sympy leaves an
+    unevaluated Derivative (abs of a possibly complex subexpression), which
+    lambdify cannot compile.
+    """
+    *w, lam = spec.symbols
+    exprs = {}
+
+    def expr_of(alpha, beta):
+        key = (alpha, beta)
+        if key not in exprs:
+            if beta:
+                e = sp.diff(expr_of(alpha, beta - 1), lam)
+            elif any(alpha):
+                i = max(k for k, a in enumerate(alpha) if a)
+                down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                e = sp.diff(expr_of(down, 0), w[i])
+            else:
+                e = spec.expr
+            if e.has(sp.Derivative):
+                raise NotImplementedError(f"sympy left {e} unevaluated")
+            exprs[key] = e.replace(lambda x: isinstance(x, sp.DiracDelta),
+                                   lambda x: sp.S.Zero)
+        return exprs[key]
+
+    def compiled(expr):
+        fn = sp.lambdify(spec.symbols, expr, "numpy")
+        return lambda W, lam_: np.broadcast_to(
+            fn(*W.T, lam_), (len(W),)).astype(complex)
+
+    return {(tuple(a), b): compiled(expr_of(tuple(a), b)) for a, b in indices}

@@ -1,0 +1,47 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("artifact_diff", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def write_tree(root: Path, sup: list, verdict: str, lam: float, extra: str) -> None:
+    root.mkdir()
+    report = {"rows": [{"lam": lam, "shell_sup": sup, "verdict": verdict}]}
+    (root / "report.json").write_text(json.dumps(report))
+    (root / "table.csv").write_text(f"alpha,lam,sup\n1+0,{lam},{sup[0]}\n")
+    (root / "same.txt").write_text("unchanged\n")
+    (root / extra).write_bytes(b"\x00\xff")
+
+
+def test_gaps_are_relative_to_the_row_max(tmp_path):
+    tool = load_tool()
+    write_tree(tmp_path / "old", [1e-3, 10.0], "ok", 0.5, "old_only.bin")
+    write_tree(tmp_path / "new", [1e-3 + 2e-9, 10.0], "origin-blowup", 0.5,
+               "new_only.bin")
+    report = tool.compare(tmp_path / "old", tmp_path / "new").splitlines()
+    assert report[0] == "byte-identical (1): same.txt"
+    assert "only in OLD: old_only.bin" in report
+    assert "only in NEW: new_only.bin" in report
+    # the shell_sup gap is 2e-9 against the row's max of 10, not against 1e-3
+    line = next(r for r in report if "rows[*].shell_sup[*]" in r)
+    assert line.split()[1] == "2.0e-10" and line.endswith("at rows[0].shell_sup")
+    assert "  non-numeric rows[0].verdict: 'ok' -> 'origin-blowup'" in report
+    assert "report.json: 1 numeric fields equal, worst gap / row max of the others:" in report
+    # a CSV cell is its own row
+    line = next(r for r in report if r.strip().startswith("sup "))
+    assert line.split()[1] == "2.0e-06" and line.endswith("at line 2")
+
+
+def test_usage_error_exits_2(tmp_path, capsys):
+    tool = load_tool()
+    assert tool.main([str(tmp_path)]) == 2
+    assert tool.main([str(tmp_path), str(tmp_path / "missing")]) == 2
+    assert "usage:" in capsys.readouterr().err

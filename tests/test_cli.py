@@ -204,14 +204,19 @@ def test_module_entry_point(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("expr", [
-    "1/0", "0^-1", "w1/0",                    # non-finite constants
-    "(" * 2000 + "w1" + ")" * 2000,          # nesting beyond the stack
-    "9^9^9",                                  # a 370M-digit integer
+@pytest.mark.parametrize("command, expr", [
+    ("estimates", "1/0"), ("estimates", "0^-1"),          # non-finite constants
+    ("estimates", "w1/0"),
+    ("estimates", "(" * 2000 + "w1" + ")" * 2000),      # nesting beyond the stack
+    ("estimates", "9^9^9"),                             # a 370M-digit integer
+    ("estimates", "1e400*w1"),                          # literals beyond float range
+    ("invert", "1e400 + w1"),
+    ("estimates", "10^300*10^300*w1"),                  # a folded constant beyond it
 ], ids=["one-over-zero", "zero-to-minus-one", "w1-over-zero",
-        "nested-2000", "power-tower"])
-def test_inline_kernel_that_crashed_or_hung_exits_config(expr):
-    proc = run_module("estimates", "--kernel", f"expr: {expr}")
+        "nested-2000", "power-tower", "literal-overflow-estimates",
+        "literal-overflow-invert", "folded-overflow"])
+def test_inline_kernel_that_crashed_or_hung_exits_config(command, expr):
+    proc = run_module(command, "--kernel", f"expr: {expr}")
     assert proc.returncode == EXIT_CONFIG
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenflag.group import (
     GroupDims,
@@ -106,3 +108,57 @@ def test_validation_rejects_bad_points():
         GroupPoint([0.0], [0.0], np.inf)
     with pytest.raises(ValueError):
         group_mul(GroupPoint([1.0], [0.0], 0.0), GroupPoint([1.0, 0.0], [0.0, 0.0], 0.0))
+
+
+# -- group laws at hypothesis-drawn points ----------------------------------------
+
+COORD = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+def points(n, count):
+    point = st.builds(lambda x, y, t: GroupPoint(x, y, t),
+                      st.lists(COORD, min_size=n, max_size=n),
+                      st.lists(COORD, min_size=n, max_size=n), COORD)
+    return st.tuples(*[point] * count)
+
+
+def coords(a):
+    return np.concatenate([a.x, a.y, [a.t]])
+
+
+def size(*points):
+    return max(1.0, *(np.max(np.abs(coords(p))) for p in points))
+
+
+def assert_close(a, b, scale):
+    # the central slot carries sums of products x.y', so rounding grows
+    # with the square of the inputs' size
+    assert np.max(np.abs(coords(a) - coords(b))) <= 1e-13 * scale ** 2, (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: points(n, 3)))
+def test_associativity_at_drawn_points(abc):
+    a, b, c = abc
+    assert_close(group_mul(group_mul(a, b), c), group_mul(a, group_mul(b, c)),
+                 size(a, b, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: points(n, 1)))
+def test_inverses_at_drawn_points(a):
+    (a,) = a
+    e = identity(a.n)
+    assert_close(group_mul(a, group_inv(a)), e, size(a))
+    assert_close(group_mul(group_inv(a), a), e, size(a))
+    assert_close(group_inv(group_inv(a)), a, size(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: points(n, 2)), st.floats(0.1, 10.0))
+def test_dilation_automorphism_at_drawn_points(ab, j):
+    a, b = ab
+    scale = max(1.0, j) * size(a, b)
+    assert_close(dilate(j, group_mul(a, b)), group_mul(dilate(j, a), dilate(j, b)),
+                 scale)
+    assert_close(dilate(1.0 / j, dilate(j, a)), a, scale)

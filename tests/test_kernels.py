@@ -4,6 +4,8 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grammar import expression_trees
+
 from heisenflag.kernels import (
     CATALOG,
     KernelParseError,
@@ -79,6 +81,10 @@ def test_parser_and_catalog_errors():
     with pytest.raises(KernelParseError):
         make_spectrum("expr: 1./0.")        # sympy raises on Float division
     with pytest.raises(KernelParseError):
+        make_spectrum("expr: 1e400*w1")     # a literal beyond float range
+    with pytest.raises(KernelParseError):
+        make_spectrum("expr: 1e400 + w1")
+    with pytest.raises(KernelParseError):
         make_spectrum("no-such-kernel")
     with pytest.raises(KernelParseError):
         make_spectrum("perturbed-identity", eps=1.5)
@@ -91,43 +97,6 @@ def test_rank_two_variables():
 
 
 # -- grammar properties ----------------------------------------------------------
-
-FUNCTIONS = {"abs": sp.Abs, "sqrt": sp.sqrt, "exp": sp.exp}
-BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
-
-
-def expression_trees(n):
-    """(inline text, sympy tree) pairs over w1..w_{2n}, lam and numbers,
-    combined with abs/sqrt/exp, + - * / and small integer powers."""
-    names = [f"w{i + 1}" for i in range(2 * n)] + ["lam"]
-    leaves = st.one_of(
-        st.sampled_from(names).map(lambda v: (v, sp.Symbol(v))),
-        st.integers(0, 20).map(lambda k: (str(k), sp.Integer(k))),
-        st.floats(0.01, 10.0).map(lambda x: f"{x:.3f}").map(
-            lambda t: (t, sp.Float(t))))
-
-    def call(args):
-        fn, (text, tree) = args
-        return f"{fn}({text})", FUNCTIONS[fn](tree)
-
-    def binary(args):
-        op, (ta, a), (tb, b) = args
-        return f"({ta} {op} {tb})", BINARY[op](a, b)
-
-    def power(args):
-        (text, tree), k = args
-        return f"({text})^{k}", tree ** k
-
-    def grow(sub):
-        return st.one_of(
-            st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(call),
-            sub.map(lambda a: (f"-({a[0]})", -a[1])),
-            st.tuples(st.sampled_from(sorted(BINARY)), sub, sub).map(binary),
-            st.tuples(sub, st.integers(-3, 3)).map(power))
-
-    return st.recursive(leaves, grow, max_leaves=10)
-
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import GROUP16, GROUP32, GROUPWIDE, LINE64, LINE128
 from oracles import gauss_c_fun_closed_form
@@ -80,6 +82,38 @@ def test_representation_inverse():
     lam = -0.75
     back = pi_point(group_inv(h), lam, pi_point(h, lam, u))
     assert np.max(np.abs(back.values - u.values)) < 1e-10
+
+
+# -- representation laws at hypothesis-drawn (h, lam) ---------------------------
+
+STATE = random_state(LINE128, np.random.default_rng(45))
+
+
+def drawn_points(scale, t_scale=1.0):
+    coord = st.floats(-scale, scale, allow_nan=False)
+    return st.builds(lambda x, y, t: GroupPoint([x], [y], t),
+                     coord, coord, st.floats(-t_scale, t_scale, allow_nan=False))
+
+
+LAMBDAS = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 1.0)).map(
+    lambda p: p[0] * 2.0 ** p[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn_points(3.0, 8.0), LAMBDAS)
+def test_pi_point_unitary_at_drawn_points(h, lam):
+    v = pi_point(h, lam, STATE)
+    assert np.isclose(v.l2_norm(), STATE.l2_norm(), rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn_points(0.5), drawn_points(0.5), LAMBDAS)
+def test_pi_point_homomorphism_at_drawn_points(h, hp, lam):
+    # the same box as the seeded draws: shifts stay well inside the grid,
+    # where the periodic lattice carries the state without wrap-around
+    lhs = pi_point(h, lam, pi_point(hp, lam, STATE))
+    rhs = pi_point(group_mul(h, hp), lam, STATE)
+    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
 
 
 def test_c_fun_gaussian_closed_form():

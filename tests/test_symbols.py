@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from common import GROUPWIDE, LINE64
-from oracles import symbol_interpolant_literal
+from grammar import expression_trees
+from oracles import symbol_interpolant_literal, sympy_derivatives
 
 from heisenflag.checks import balanced_rates, random_field
-from heisenflag.kernels import make_spectrum
+from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.grids import LineGrid
 from heisenflag.schrodinger import hs_norm, pi_field
 from heisenflag.symbols import (
@@ -140,39 +143,120 @@ def test_finite_difference_path_matches_analytic_rows():
             assert abs(sa - sb) <= 2e-2 * sa + floor
 
 
-def test_derivatives_from_cached_parents_match_direct_diff():
-    # the order-3 benchmark family: each index is built one order down from
-    # its cached parent and compiled with CSE; the reference differentiates
-    # the base expression afresh for every index and compiles without CSE
+def all_indices(dim, alpha_max, beta_max):
+    return [(alpha, beta)
+            for alpha in itertools.product(range(alpha_max + 1), repeat=dim)
+            if sum(alpha) <= alpha_max for beta in range(beta_max + 1)]
+
+
+def signed_rows(rng, m, dim):
+    W = rng.uniform(-3, 3, size=(m, dim))
+    lams = rng.uniform(0.05, 4, size=m) * rng.choice([-1, 1], size=m)
+    return W, lams
+
+
+def assert_jets_match(spec, indices, W, lams):
+    got = spec.derivatives(indices, W, lams)
+    assert got.shape == (len(indices), len(W))
+    oracle = sympy_derivatives(spec, indices)
+    for (alpha, beta), row in zip(indices, got):
+        want = oracle[alpha, beta](W, lams)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(row - want)) <= 1e-12 * scale, (alpha, beta)
+
+
+def test_derivative_views_match_direct_diff():
+    # the order-3 benchmark family, one cached view per index
     spec = make_spectrum(
         "expr: 1/(1 + 0.1*(w1^2 + w2^2)/(w1^2 + w2^2 + abs(lam)))")
-    w1, w2, lam = (*spec._w, spec._lam)
-    rng = np.random.default_rng(64)
-    W = rng.uniform(-3, 3, size=(40, 2))
-    lams = rng.uniform(0.05, 4, size=40) * rng.choice([-1, 1], size=40)
-    for a1, a2, beta in itertools.product(range(4), range(4), range(3)):
-        if a1 + a2 > 3:
-            continue
-        want = spec.expr
-        for var in [w1] * a1 + [w2] * a2 + [lam] * beta:
-            want = sp.diff(want, var)
-        want = want.replace(lambda e: isinstance(e, sp.DiracDelta),
-                            lambda e: sp.S.Zero)
-        ref = np.broadcast_to(
-            sp.lambdify((w1, w2, lam), want, "numpy")(W[:, 0], W[:, 1], lams), (40,))
-        got = spec.derivative((a1, a2), beta)(W, lams)
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) <= 1e-10 * scale, (a1, a2, beta)
+    W, lams = signed_rows(np.random.default_rng(64), 40, 2)
+    indices = all_indices(2, 3, 2)
+    oracle = sympy_derivatives(spec, indices)
+    for index in indices:
+        want = oracle[index](W, lams)
+        got = spec.derivative(*index)(W, lams)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
     assert spec.derivative((0, 0), 0) is spec
     assert spec.derivative((1, 2), 1) is spec.derivative([1, 2], 1)  # cached
 
 
+def test_jets_match_sympy_on_catalog_kernels():
+    # every index of alpha_max=3, beta_max=2 from one jet pass per kernel
+    rng = np.random.default_rng(65)
+    W, lams = signed_rows(rng, 24, 2)
+    indices = all_indices(2, 3, 2)
+    for name in CATALOG:
+        assert_jets_match(make_spectrum(name, eps=0.4), indices, W, lams)
+
+
+def test_jets_match_sympy_at_rank_two():
+    rng = np.random.default_rng(66)
+    W, lams = signed_rows(rng, 24, 4)
+    indices = [((0, 0, 0, 0), 0), ((1, 0, 0, 0), 2), ((0, 2, 0, 1), 1),
+               ((0, 0, 3, 0), 0), ((1, 1, 0, 1), 2), ((0, 0, 0, 2), 1)]
+    for name in ("riesz", "tempered", "abs-w"):
+        assert_jets_match(make_spectrum(name, n=2, eps=0.3), indices, W, lams)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_jets_match_sympy_on_grammar_trees(data):
+    n = data.draw(st.integers(1, 2))
+    text, tree = data.draw(expression_trees(n))
+    # a finite tree builds: every node of the grammar has a jet rule, and
+    # only a constant beyond floating-point range is refused
+    assume(not tree.has(sp.zoo, sp.oo, -sp.oo, sp.nan))
+    assume(all(np.isfinite(complex(a)) for a in tree.atoms(sp.Number)))
+    spec = make_spectrum(f"expr: {text}", n=n)
+    indices = [(alpha, beta) for alpha, beta in all_indices(2 * n, 2, 2)
+               if sum(alpha) + beta <= 2]
+    try:
+        oracle = sympy_derivatives(spec, indices)
+    except NotImplementedError:
+        assume(False)
+    W, lams = signed_rows(np.random.default_rng(67), 12, 2 * n)
+    with np.errstate(all="ignore"):
+        got = spec.derivatives(indices, W, lams)
+        # derivatives only exist where the family is defined
+        defined = np.isfinite(got[0])
+        for (alpha, beta), row in zip(indices, got):
+            want = oracle[alpha, beta](W, lams)
+            ok = defined & np.isfinite(want)
+            scale = np.max(np.abs(want[ok]), initial=0.0)
+            np.testing.assert_allclose(row[ok], want[ok], rtol=1e-9, atol=1e-9 * scale,
+                                       err_msg=f"{text}: alpha={alpha} beta={beta}")
+
+
+def test_order_zero_evaluator_at_the_origin():
+    # exact integer powers keep the origin finite, where a series at the
+    # base value would divide by zero
+    origin = np.zeros((3, 2))
+    lams = np.array([1.0, -0.5, 2.0])
+    assert np.all(make_spectrum("riesz")(origin, lams) == 0.0)
+    assert np.all(make_spectrum("abs-w")(origin, lams) == 0.0)
+    assert np.all(make_spectrum("tempered", eps=0.5)(origin, lams) == 1.0)
+    square = make_spectrum("expr: w1^2 + lam")
+    assert np.all(square.derivatives([((0, 0), 0), ((1, 0), 0), ((2, 0), 0)],
+                                     origin, lams).real
+                  == [lams, [0.0] * 3, [2.0] * 3])
+
+
 def test_lambda_derivatives_drop_delta_terms():
+    # d_lam^2 of |lam| is a delta on the excluded lam = 0 plane: the jets
+    # must agree with the delta-stripped sympy derivative on both sides
     spec = make_spectrum("riesz")
-    for alpha in ((0, 0), (1, 0), (0, 2)):
-        d2 = spec.derivative(alpha, 2)
-        assert d2.expr.has(sp.Abs) or d2.expr.has(sp.sign)
-        assert not d2.expr.has(sp.DiracDelta)
+    indices = [((0, 0), 2), ((1, 0), 2), ((0, 2), 2)]
+    oracle = sympy_derivatives(spec, indices)
+    rng = np.random.default_rng(68)
+    W = rng.uniform(-3, 3, size=(30, 2))
+    for sign in (1.0, -1.0):
+        lams = sign * rng.uniform(0.05, 4, size=30)
+        for index in indices:
+            want = oracle[index](W, lams)
+            got = spec.derivative(*index)(W, lams)
+            scale = np.max(np.abs(want))
+            assert scale > 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (sign, index)
 
 
 def test_sym0_constants_bounded_for_riesz():
