@@ -6,20 +6,23 @@ lattice. Full position-side fields are "group side", full frequency-side
 ones "dual side"; partial transforms produce mixed fields and every
 operation keeps the bookkeeping straight.
 
-Band-limited point evaluation treats the samples as coefficients of the
-unique trigonometric interpolant; `eval_at` is the package's one such
-evaluator (symbol tables are evaluated through it as well). A query row is
-outside the footprint when any coordinate is < -H or >= H, where H is that
-axis's half-width on its current side. Outside the footprint the
-interpolant is periodic, which is meaningless for decaying data, so
-`eval_at` takes an explicit out-of-footprint policy:
+Band-limited evaluation treats the samples as coefficients of the unique
+trigonometric interpolant. `eval_at` evaluates it at scattered query rows;
+`eval_lattice` evaluates it over the tensor lattice of one 1-d array per
+axis by sum factorization, one interpolation matrix per axis (symbol tables
+are evaluated through both). A query coordinate is outside the footprint
+when it is < -H or >= H, where H is that axis's half-width on its current
+side. Outside the footprint the interpolant is periodic, which is
+meaningless for decaying data, so both entries take an explicit
+out-of-footprint policy, applied axis by axis by `axis_footprint`:
 
 * ``"wrap"``: raw periodic mode sum (flat spectra, spikes);
-* ``"zero"``: return 0 outside the footprint (decaying fields, default);
-* ``"edge"``: clamp every row onto the last lattice cell, each coordinate
-  to [-H, H - d] with d the axis spacing, so a row's value never depends
-  on the other rows of its batch (symbol resampling; callers count the
-  outside rows with `out_of_footprint`).
+* ``"zero"``: return 0 where any coordinate is outside (decaying fields,
+  default);
+* ``"edge"``: clamp every coordinate onto the last lattice cell,
+  [-H, H - d] with d the axis spacing, so a row's value never depends on
+  the other rows of its batch (symbol resampling; callers count the
+  outside rows with `out_of_footprint` or `axis_footprint`).
 """
 
 from __future__ import annotations
@@ -90,13 +93,24 @@ class SampledField:
 
     # -- band-limited evaluation --------------------------------------------
 
+    def axis_footprint(self, i: int, values: np.ndarray,
+                       policy: str = "wrap") -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates to evaluate on axis i under `policy`, and the mask of
+        `values` inside the half-open footprint [-H, H)."""
+        if policy not in ("wrap", "zero", "edge"):
+            raise ValueError(f"unknown policy {policy!r}")
+        h = self.axis_half_width(i)
+        inside = (values >= -h) & (values < h)
+        if policy == "edge":
+            values = np.clip(values, -h, h - self.axis_spacing(i))
+        return values, inside
+
     def out_of_footprint(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of query rows falling outside [-H, H) on any axis."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mask = np.zeros(pts.shape[0], dtype=bool)
         for i in range(self.grid.ndim):
-            h = self.axis_half_width(i)
-            mask |= (pts[:, i] < -h) | (pts[:, i] >= h)
+            mask |= ~self.axis_footprint(i, pts[:, i])[1]
         return mask
 
     def _mode_data(self):
@@ -120,24 +134,52 @@ class SampledField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.ndim:
             raise ValueError(f"points must have {self.grid.ndim} columns")
-        if policy not in ("wrap", "zero", "edge"):
-            raise ValueError(f"unknown policy {policy!r}")
-        if policy == "edge":
-            pts = np.stack([
-                np.clip(pts[:, i], -self.axis_half_width(i),
-                        self.axis_half_width(i) - self.axis_spacing(i))
-                for i in range(self.grid.ndim)], axis=1)
+        cols, outside = [], np.zeros(pts.shape[0], dtype=bool)
+        for i in range(self.grid.ndim):
+            col, inside = self.axis_footprint(i, pts[:, i], policy)
+            cols.append(col)
+            outside |= ~inside
         coeff, modes, signs = self._mode_data()
         out = None
-        for i in range(self.grid.ndim):
-            e = np.exp(signs[i] * 2j * np.pi * pts[:, i, None] * modes[i][None, :])
+        for i, col in enumerate(cols):
+            e = np.exp(signs[i] * 2j * np.pi * col[:, None] * modes[i][None, :])
             if out is None:
                 out = np.tensordot(e, coeff, axes=(1, 0))
             else:
                 out = np.einsum("mk,mk...->m...", e, out)
         out = np.asarray(out)
         if policy == "zero":
-            out = np.where(self.out_of_footprint(pts), 0.0, out)
+            out = np.where(outside, 0.0, out)
+        return out
+
+    def eval_lattice(self, axis_values, policy: str = "zero") -> np.ndarray:
+        """Trigonometric interpolation over the tensor lattice of one 1-d
+        array per axis; returns shape (len(axis_values[0]), ...).
+
+        Equals `eval_at(flat_coords(axis_values), policy)` reshaped, but
+        contracts one (M_i, N_i) interpolation matrix per axis into the
+        coefficients (sum factorization): O(N^d M) work per axis instead of
+        O(N^d) per lattice row. Under "zero" a coordinate outside the
+        footprint zeroes its row of the matrix, hence every lattice row
+        through it.
+        """
+        if len(axis_values) != self.grid.ndim:
+            raise ValueError(f"need one value array per axis ({self.grid.ndim})")
+        cols = []
+        for i, v in enumerate(axis_values):
+            v = np.asarray(v, dtype=float)
+            if v.ndim != 1:
+                raise ValueError("axis values must be 1-d arrays")
+            cols.append(self.axis_footprint(i, v, policy))
+        coeff, modes, signs = self._mode_data()
+        out = coeff
+        for i, (col, inside) in enumerate(cols):
+            e = np.exp(signs[i] * 2j * np.pi * col[:, None] * modes[i][None, :])
+            if policy == "zero":
+                e[~inside] = 0.0
+            # contract the leading axis and append the new one at the end,
+            # so after ndim steps the axes are back in order
+            out = np.tensordot(out, e, axes=(0, 1))
         return out
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .symbols import (
     Spectrum,
     SymbolGrid,
     evaluate_symbol,
+    fiber_axes,
     fiber_symbol,
     kn_quantize,
     kn_symbol_of,
@@ -310,6 +312,13 @@ def gramian_lower_bound(kernel_field, test_field, lam_values, c: float) -> dict:
     }
 
 
+def _table_coordinates(w_xi, w_s, mu: float) -> tuple:
+    """Inverse parabolic frame map: covariables (w_xi, w_s) at central
+    frequency mu to the (xi, s) coordinates of the fiber table at -mu."""
+    root = np.sqrt(abs(mu))
+    return np.sign(mu) * w_xi / root, -w_s / root
+
+
 class ReconstructedSpectrum(Spectrum):
     """Inverse family glued from per-fiber inverse tables.
 
@@ -317,7 +326,8 @@ class ReconstructedSpectrum(Spectrum):
     parabolic frame map; fibers are produced on demand and cached, so the
     family supports finite differencing in the central frequency. Rows
     that leave a table footprint are clamped ("edge") and counted in
-    `clipped_rows`.
+    `clipped_rows`. `fiber_table` samples a whole fiber lattice of the
+    family through the same frame map, one axis at a time.
     """
 
     def __init__(self, spec, grid: LineGrid, cond_limit: float = 1e8,
@@ -347,13 +357,30 @@ class ReconstructedSpectrum(Spectrum):
                 raise ValueError("reconstructed family needs nonzero lam")
             rows = lam == mu
             tab = self.inverse_table(-mu)
-            root = np.sqrt(abs(mu))
-            xi = np.sign(mu) * W[rows, :self.n] / root
-            s = -W[rows, self.n:] / root
+            xi, s = _table_coordinates(W[rows, :self.n], W[rows, self.n:], mu)
             outside = symbol_field(tab).out_of_footprint(np.hstack([xi, s]))
             self.clipped_rows += int(np.sum(outside))
             out[rows] = evaluate_symbol(tab, xi, s, policy=self.policy)
         return out
+
+    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
+        """`fiber_symbol(self, lam, grid)` evaluated over the lattice.
+
+        Each axis of the fiber's covariables goes through the frame map at
+        mu = -lam on its own; the clipped count is the lattice size minus
+        the product of the per-axis inside counts.
+        """
+        w = fiber_axes(lam, grid)
+        n = grid.dim
+        coords = [None] * (2 * n)
+        for i in range(n):
+            coords[i], coords[n + i] = _table_coordinates(w[i], w[n + i], -lam)
+        field = symbol_field(self.inverse_table(lam))
+        inside = [int(np.sum(field.axis_footprint(i, c)[1]))
+                  for i, c in enumerate(coords)]
+        self.clipped_rows += grid.size ** 2 - math.prod(inside)
+        vals = field.eval_lattice(coords, self.policy)
+        return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 
 class GramSpectrum(Spectrum):
@@ -387,18 +414,21 @@ def verify_inverse(result: InversionResult) -> dict:
     The round trip compares the fiber symbol of the glued inverse family
     `result.spectrum()` against the inverse table read directly off each
     fiber; at lattice coincidences the two agree to rounding when the
-    gluing is consistent.
+    gluing is consistent. `clipped_rows` counts the fiber's lattice rows
+    that the frame map sent outside the table footprint.
     """
     recon = result.spectrum()
     report = {}
     for row in result.rows:
         direct = recon.inverse_table(row.lam)
-        glued = fiber_symbol(recon, row.lam, result.grid)
+        clipped = recon.clipped_rows
+        glued = fiber_table(recon, row.lam, result.grid)
         scale = max(direct.sup_norm(), 1e-300)
         report[row.lam] = {
             "residual_right": row.residual_right,
             "residual_left": row.residual_left,
             "glue_error": float(np.max(np.abs(glued.values - direct.values))) / scale,
+            "clipped_rows": recon.clipped_rows - clipped,
         }
     return report
 

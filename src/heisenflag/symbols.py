@@ -233,12 +233,17 @@ class _DerivativeView(Spectrum):
 
 # -- fiber sampling ------------------------------------------------------------
 
-def fiber_covariables(lam: float, grid: LineGrid) -> np.ndarray:
-    """Rows w = (-sgn(lam) sqrt|lam| xi_i, -sqrt|lam| s_j) over the table."""
+def fiber_axes(lam: float, grid: LineGrid) -> list:
+    """Per-axis covariables of the fiber table at lam: n copies of
+    -sgn(lam) sqrt|lam| xi, then n copies of -sqrt|lam| s."""
     root = np.sqrt(abs(lam))
     n = grid.dim
-    return flat_coords([-np.sign(lam) * root * grid.freqs()] * n
-                       + [-root * grid.points()] * n)
+    return [-np.sign(lam) * root * grid.freqs()] * n + [-root * grid.points()] * n
+
+
+def fiber_covariables(lam: float, grid: LineGrid) -> np.ndarray:
+    """Rows w = (-sgn(lam) sqrt|lam| xi_i, -sqrt|lam| s_j) over the table."""
+    return flat_coords(fiber_axes(lam, grid))
 
 
 def fiber_symbol(spec: Spectrum, lam: float, grid: LineGrid) -> SymbolGrid:
@@ -257,21 +262,15 @@ def fiber_symbol_of_field(field: SampledField, lam: float, grid: LineGrid,
     """Fiber symbol read off a sampled kernel: transform, then interpolate.
 
     The group-side samples are pushed to the full dual lattice and the
-    parabolic frame points (w, -lam) are evaluated by the band-limited
-    interpolant, with `policy` deciding out-of-footprint rows.
+    band-limited interpolant is evaluated over the lattice of parabolic
+    frame points (w, -lam), with `policy` deciding out-of-footprint rows.
     """
     if field.side != "group" or field.grid.group_dim is None:
         raise ValueError("expected a group-side field on a group grid")
     if grid.dim != field.grid.n:
         raise ValueError("state dimension != group rank")
-    dual = fourier(field)
-    rows = fiber_covariables(lam, grid)
-    pts = np.concatenate([rows, np.full((rows.shape[0], 1), -lam)], axis=1)
-    # chunk the interpolation: eval_at holds a (rows, lattice) intermediate
-    vals = np.concatenate([
-        dual.eval_at(pts[i:i + 1024], policy=policy)
-        for i in range(0, len(pts), 1024)
-    ])
+    vals = fourier(field).eval_lattice(fiber_axes(lam, grid) + [np.array([-lam])],
+                                       policy)
     return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from common import GROUP16, GROUP8
-from oracles import dft_literal
+from oracles import dft_literal, symbol_interpolant_literal
 
 from heisenflag.fields import LambdaWindow, SampledField, load_field, save_field
-from heisenflag.grids import Axis, Grid, centered_dft, centered_idft, self_dual_line
+from heisenflag.grids import (
+    Axis,
+    Grid,
+    LineGrid,
+    centered_dft,
+    centered_idft,
+    flat_coords,
+    self_dual_line,
+)
+from heisenflag.symbols import SymbolGrid, symbol_field
 from heisenflag.transform import gaussian_field
+
+POLICIES = ("wrap", "zero", "edge")
 
 
 def test_axis_geometry():
@@ -108,6 +119,70 @@ def test_eval_at_edge_row_ignores_its_batch():
     last_cell = f.eval_at(np.array([[4.0 - d, 0.7, 0.3]]), policy="wrap")[0]
     assert np.isclose(alone, last_cell, rtol=0, atol=1e-14)
     assert abs(alone - f.eval_at(near, policy="wrap")[0]) > 1e-3
+
+
+def _footprint_probes(f: SampledField, rng) -> list:
+    """Per-axis values at -H, H - d and +H, beyond them, and inside."""
+    out = []
+    for i in range(f.grid.ndim):
+        h, d = f.axis_half_width(i), f.axis_spacing(i)
+        inside = rng.uniform(-h, h, size=2)
+        out.append(np.concatenate([[-1.7 * h, -h, h - d, h - d / 3, h, 1.2 * h],
+                                   inside]))
+    return out
+
+
+def _random_field(grid: Grid, transformed, rng) -> SampledField:
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return SampledField(grid, vals, transformed)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_eval_lattice_matches_eval_at_on_flat_rows(policy):
+    rng = np.random.default_rng(17)
+    group3 = _random_field(GROUP8, (True, False, True), rng)
+    line = LineGrid(4, 1.5, dim=2)
+    table = SymbolGrid(0.5, line, rng.standard_normal((line.size, line.size))
+                       + 1j * rng.standard_normal((line.size, line.size)))
+    symbol4 = symbol_field(table)
+    assert symbol4.transformed == (True, True, False, False)
+    for f in (group3, symbol4):
+        axes = _footprint_probes(f, rng)
+        got = f.eval_lattice(axes, policy)
+        assert got.shape == tuple(len(a) for a in axes)
+        want = f.eval_at(flat_coords(axes), policy)
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * scale
+        if policy == "zero":
+            zeroed = f.out_of_footprint(flat_coords(axes))
+            assert zeroed.any() and np.all(got.ravel()[zeroed] == 0.0)
+    with pytest.raises(ValueError):
+        group3.eval_lattice(axes[:2], policy)
+    with pytest.raises(ValueError):
+        group3.eval_lattice(_footprint_probes(group3, rng), "nearest")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_eval_lattice_of_symbol_matches_literal_interpolant(policy):
+    rng = np.random.default_rng(23)
+    g = LineGrid(8, 1.5)
+    a = SymbolGrid(1.0, g, rng.standard_normal((g.size, g.size))
+                   + 1j * rng.standard_normal((g.size, g.size)))
+    f = symbol_field(a)
+    axes = _footprint_probes(f, rng)
+    got = f.eval_lattice(axes, policy).ravel()
+    # the literal sum is the periodic interpolant: apply the policy by hand
+    H, L = g.freq_half_width, g.half_width
+    xi, s = flat_coords(axes).T
+    outside = (xi < -H) | (xi >= H) | (s < -L) | (s >= L)
+    if policy == "edge":
+        xi = np.clip(xi, -H, H - g.freq_spacing)
+        s = np.clip(s, -L, L - g.spacing)
+    want = symbol_interpolant_literal(a.values, g.points(), g.freqs(), xi, s)
+    if policy == "zero":
+        want[outside] = 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_lambda_window():

@@ -1,18 +1,22 @@
 """Fiberwise inversion pipeline: residuals, oracles, uniformity, gluing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from common import GROUP32
 
 from heisenflag.checks import random_field
-from heisenflag.fields import LambdaWindow
+from heisenflag.cli import ExperimentConfig
+from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag.grids import LineGrid
 from heisenflag.inversion import (
     FiberInversionError,
     GramSpectrum,
     SymmetryError,
     derivative_report,
+    fiber_table,
     gramian_lower_bound,
     invert_fiber,
     invert_flag,
@@ -183,6 +187,53 @@ def test_reconstruction_round_trip_is_lattice_exact():
         # fiber coordinates of the glued family land back on the table
         assert row["glue_error"] < 1e-12
         assert row["residual_right"] < 1e-10
+
+
+def test_glue_check_sees_a_distorted_lattice_query(monkeypatch):
+    # the glued tables are read back through the interpolant, not by index:
+    # stretching every axis of the lattice query by 1% must show up
+    spec = make_spectrum("perturbed-identity", eps=0.3)
+    res = invert_flag(spec, [0.5, -2.0], GRID)
+    tol = ExperimentConfig().residual_tol
+    assert max(r["glue_error"] for r in verify_inverse(res).values()) < 1e-12
+    lattice = SampledField.eval_lattice
+
+    def stretched(self, axis_values, policy="zero"):
+        return lattice(self, [1.01 * v for v in axis_values], policy)
+
+    monkeypatch.setattr(SampledField, "eval_lattice", stretched)
+    for row in verify_inverse(res).values():
+        assert row["glue_error"] > tol
+
+
+def test_lattice_clipped_rows_match_flat_rows():
+    spec = make_spectrum("perturbed-identity", eps=0.3)
+    res = invert_flag(spec, [0.5], GRID)
+    # frequencies up to 4 against the table's 2: part of the lattice is out
+    wide = LineGrid(64, 4.0)
+    lattice, flat = res.spectrum(), res.spectrum()
+    got = fiber_table(lattice, 0.5, wide)
+    want = fiber_symbol(flat, 0.5, wide)
+    assert 0 < lattice.clipped_rows < wide.size ** 2
+    assert lattice.clipped_rows == flat.clipped_rows
+    assert np.max(np.abs(got.values - want.values)) <= 1e-13 * want.sup_norm()
+    report = verify_inverse(res)
+    assert report[0.5]["clipped_rows"] == 0
+
+
+def test_verify_inverse_memory_at_rank_two():
+    # n = 2 fibers are 64x64 tables over 8^4 lattice rows: contracting
+    # row by row would hold a (rows, 8^3) complex intermediate, 32 MiB
+    cfg = ExperimentConfig(n=2, state_count=8)
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    tracemalloc.start()
+    try:
+        report = verify_inverse(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert max(r["glue_error"] for r in report.values()) <= 1e-12
 
 
 def test_reconstructed_family_interpolates():
