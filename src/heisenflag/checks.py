@@ -26,7 +26,6 @@ from .schrodinger import (
     hs_norm,
     pi_field,
     pi_point,
-    pi_point_matrix,
 )
 from .symbols import fiber_symbol, kn_quantize, kn_symbol_of, twisted_product, unit_symbol
 from .kernels import make_spectrum

@@ -11,10 +11,12 @@ trigonometric interpolant. `eval_at` evaluates it at scattered query rows;
 `eval_lattice` evaluates it over the tensor lattice of one 1-d array per
 axis by sum factorization, one interpolation matrix per axis (symbol tables
 are evaluated through both). A query coordinate is outside the footprint
-when it is < -H or >= H, where H is that axis's half-width on its current
-side. Outside the footprint the interpolant is periodic, which is
-meaningless for decaying data, so both entries take an explicit
-out-of-footprint policy, applied axis by axis by `axis_footprint`:
+when it is < -H(1 + 4 eps) or >= H, where H is that axis's half-width on
+its current side and eps the float64 machine epsilon; the slack below -H
+keeps a lattice edge that went through rounding arithmetic (the inverse
+frame map of a fiber) inside. Outside the footprint the interpolant is
+periodic, which is meaningless for decaying data, so both entries take an
+explicit out-of-footprint policy, applied axis by axis by `axis_footprint`:
 
 * ``"wrap"``: raw periodic mode sum (flat spectra, spikes);
 * ``"zero"``: return 0 where any coordinate is outside (decaying fields,
@@ -70,10 +72,6 @@ class SampledField:
             w *= ax.freq_spacing if tr else ax.spacing
         return w
 
-    def axis_coords(self, i: int) -> np.ndarray:
-        ax = self.grid.axes[i]
-        return ax.freqs() if self.transformed[i] else ax.points()
-
     def axis_half_width(self, i: int) -> float:
         ax = self.grid.axes[i]
         return ax.freq_half_width if self.transformed[i] else ax.half_width
@@ -96,17 +94,17 @@ class SampledField:
     def axis_footprint(self, i: int, values: np.ndarray,
                        policy: str = "wrap") -> tuple[np.ndarray, np.ndarray]:
         """Coordinates to evaluate on axis i under `policy`, and the mask of
-        `values` inside the half-open footprint [-H, H)."""
+        `values` inside the half-open footprint [-H(1 + 4 eps), H)."""
         if policy not in ("wrap", "zero", "edge"):
             raise ValueError(f"unknown policy {policy!r}")
         h = self.axis_half_width(i)
-        inside = (values >= -h) & (values < h)
+        inside = (values >= -h * (1 + 4 * np.finfo(float).eps)) & (values < h)
         if policy == "edge":
             values = np.clip(values, -h, h - self.axis_spacing(i))
         return values, inside
 
     def out_of_footprint(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of query rows falling outside [-H, H) on any axis."""
+        """Boolean mask of query rows outside the footprint on any axis."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mask = np.zeros(pts.shape[0], dtype=bool)
         for i in range(self.grid.ndim):

@@ -118,9 +118,6 @@ class Grid:
             w *= ax.spacing
         return w
 
-    def axis_points(self, i: int) -> np.ndarray:
-        return self.axes[i].points()
-
     def meshes(self) -> list[np.ndarray]:
         return np.meshgrid(*[ax.points() for ax in self.axes], indexing="ij")
 

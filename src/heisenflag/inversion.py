@@ -1,20 +1,21 @@
 """Fiberwise inversion of flag symbols and the reconstructed inverse family.
 
 The pipeline samples a symbol family along each requested fiber, quantizes,
-inverts the matrix through one SVD, and reads the inverse symbol back off.
-That SVD also gives the per-fiber diagnostics (extreme singular values,
-condition number); the uniformity report, the derivative scan and the
-verification read them, and the inverses, off the one `InversionResult`
-instead of factorizing a fiber again. Together with the two-sided
-residuals the diagnostics decide whether the family is uniformly
-invertible: a fiber can be perfectly invertible as a matrix while its
-symbol vanishes on the flag boundary, so uniformity is judged against an
-absolute singular-value floor rather than the condition limit alone.
+and inverts the matrix through one SVD. That SVD gives one `Fiber` record
+per fiber: the inverse B plus its smallest singular value and condition
+number. `InversionResult.fibers` holds these records, and the derivative
+scan, the glued inverse family and the verification read them instead of
+factorizing a fiber again; the record keeps no A or symbol table, so its
+memory stays one matrix per fiber. Together with the two-sided residuals
+the diagnostics decide whether the family is uniformly invertible: a
+fiber can be perfectly invertible as a matrix while its symbol vanishes
+on the flag boundary, so uniformity is judged against an absolute
+singular-value floor rather than the condition limit alone.
 
-The collected inverse tables glue to a new symbol family on covariable
-space through the inverse parabolic frame map; that family supports the
-same seminorm scans and derivative identities as the input, which is the
-numerical content of inverse-closedness.
+The inverse tables read off the records glue to a new symbol family on
+covariable space through the inverse parabolic frame map; that family
+supports the same seminorm scans and derivative identities as the input,
+which is the numerical content of inverse-closedness.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .symbols import (
     SymbolGrid,
     evaluate_symbol,
     fiber_axes,
-    fiber_symbol,
     kn_quantize,
     kn_symbol_of,
     symbol_field,
@@ -64,17 +65,17 @@ class SymmetryError(ValueError):
     """A strict inversion was asked to invert a non-Hermitian fiber."""
 
 
-def fiber_table(spec, lam: float, grid: LineGrid) -> SymbolGrid:
-    """Symbol table of one fiber; objects may supply their own sampler."""
-    own = getattr(spec, "fiber_table", None)
-    if own is not None:
-        return own(lam, grid)
-    return fiber_symbol(spec, lam, grid)
+class Fiber(NamedTuple):
+    """One inverted fiber: the inverse B and the SVD diagnostics of A."""
+
+    b: FiberOperator
+    sigma_min: float
+    cond: float
 
 
 def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
-                 strict: bool = False) -> tuple[FiberOperator, float, float]:
-    """Invert one fiber operator; returns (inverse, sigma_min, cond).
+                 strict: bool = False) -> Fiber:
+    """Invert one fiber operator; returns Fiber(inverse, sigma_min, cond).
 
     One SVD A = U diag(sigma) V* gives both the diagnostics and the inverse
     B = V diag(1/sigma) U*, whose residual grows like cond * eps (solving
@@ -94,7 +95,7 @@ def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
     if not np.isfinite(cond) or cond > cond_limit:
         raise FiberInversionError(a.lam, sigma_min, cond, cond_limit)
     inv = (vh.conj().T / sv) @ u.conj().T
-    return FiberOperator(a.lam, a.grid, inv), sigma_min, cond
+    return Fiber(FiberOperator(a.lam, a.grid, inv), sigma_min, cond)
 
 
 def neumann_inverse(a: SymbolGrid, k_max: int = 20) -> tuple[SymbolGrid, float]:
@@ -134,9 +135,9 @@ class InversionResult:
     grid: LineGrid
     cond_limit: float
     sigma_floor: float
+    spec: Spectrum
     rows: list = field(default_factory=list)
-    fibers: dict = field(default_factory=dict)
-    spec: object = None
+    fibers: dict = field(default_factory=dict)     # lam -> Fiber
 
     @property
     def lam_values(self) -> list:
@@ -194,14 +195,9 @@ class InversionResult:
                         f"{r.residual_sup:.9e}", int(r.invertible)])
         return buf.getvalue()
 
-    def spectrum(self, policy: str = "edge") -> "ReconstructedSpectrum":
-        if self.spec is None:
-            raise ValueError("result was built without a source family")
-        recon = ReconstructedSpectrum(self.spec, self.grid,
-                                      cond_limit=self.cond_limit, policy=policy)
-        for lam, b in self.fibers.items():
-            recon._tables[lam] = kn_symbol_of(b)
-        return recon
+    def spectrum(self) -> "ReconstructedSpectrum":
+        return ReconstructedSpectrum(self.spec, self.grid, self.fibers,
+                                     self.cond_limit)
 
     def save(self, outdir, operators: bool = False) -> list:
         outdir = Path(outdir)
@@ -214,9 +210,9 @@ class InversionResult:
         p.write_text(self.to_csv())
         written.append(p)
         if operators:
-            for lam, op in sorted(self.fibers.items()):
+            for lam, fiber in sorted(self.fibers.items()):
                 p = outdir / f"inverse_fiber_{lam:+.6f}.hfc"
-                save_operator(op, p)
+                save_operator(fiber.b, p)
                 written.append(p)
         return written
 
@@ -242,9 +238,10 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     eye = np.eye(grid.size)
     for lam in lam_values:
         lam = float(lam)
-        table = fiber_table(spec, lam, grid)
+        table = spec.fiber_table(lam, grid)
         a = kn_quantize(table)
-        b, sigma_min, cond = invert_fiber(a, cond_limit, strict)
+        fiber = invert_fiber(a, cond_limit, strict)
+        b, sigma_min, cond = fiber
         ab = a.matrix @ b.matrix
         rr = np.linalg.norm(ab - eye, 2)
         rl = np.linalg.norm(b.matrix @ a.matrix - eye, 2)
@@ -256,7 +253,7 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
             residual_right=float(rr), residual_left=float(rl),
             residual_sup=float(np.max(np.abs(prod.values - 1.0))),
             invertible=sigma_min >= sigma_floor))
-        out.fibers[lam] = b
+        out.fibers[lam] = fiber
     return out
 
 
@@ -323,20 +320,21 @@ class ReconstructedSpectrum(Spectrum):
     """Inverse family glued from per-fiber inverse tables.
 
     Evaluation at (w, mu) looks up the fiber at -mu through the inverse
-    parabolic frame map; fibers are produced on demand and cached, so the
-    family supports finite differencing in the central frequency. Rows
-    that leave a table footprint are clamped ("edge") and counted in
-    `clipped_rows`. `fiber_table` samples a whole fiber lattice of the
-    family through the same frame map, one axis at a time.
+    parabolic frame map. The tables are read off the `fibers` records of
+    an inversion run; a fiber missing there is inverted on demand, so the
+    family supports finite differencing in the central frequency. Tables
+    are cached. Rows that leave a table footprint are clamped ("edge")
+    and counted in `clipped_rows`. `fiber_table` samples a whole fiber
+    lattice of the family through the same frame map, one axis at a time.
     """
 
-    def __init__(self, spec, grid: LineGrid, cond_limit: float = 1e8,
-                 policy: str = "edge"):
+    def __init__(self, spec: Spectrum, grid: LineGrid, fibers: dict,
+                 cond_limit: float = 1e8):
         super().__init__(grid.dim, symmetric=False)
         self.base = spec
         self.grid = grid
+        self.fibers = fibers
         self.cond_limit = cond_limit
-        self.policy = policy
         self.clipped_rows = 0
         self._tables: dict[float, SymbolGrid] = {}
 
@@ -344,10 +342,11 @@ class ReconstructedSpectrum(Spectrum):
         lam = float(lam)
         tab = self._tables.get(lam)
         if tab is None:
-            a = kn_quantize(fiber_table(self.base, lam, self.grid))
-            b, _, _ = invert_fiber(a, self.cond_limit)
-            tab = kn_symbol_of(b)
-            self._tables[lam] = tab
+            fiber = self.fibers.get(lam)
+            if fiber is None:
+                a = kn_quantize(self.base.fiber_table(lam, self.grid))
+                fiber = invert_fiber(a, self.cond_limit)
+            tab = self._tables[lam] = kn_symbol_of(fiber.b)
         return tab
 
     def _evaluate(self, W, lam):
@@ -360,7 +359,7 @@ class ReconstructedSpectrum(Spectrum):
             xi, s = _table_coordinates(W[rows, :self.n], W[rows, self.n:], mu)
             outside = symbol_field(tab).out_of_footprint(np.hstack([xi, s]))
             self.clipped_rows += int(np.sum(outside))
-            out[rows] = evaluate_symbol(tab, xi, s, policy=self.policy)
+            out[rows] = evaluate_symbol(tab, xi, s, policy="edge")
         return out
 
     def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
@@ -379,7 +378,7 @@ class ReconstructedSpectrum(Spectrum):
         inside = [int(np.sum(field.axis_footprint(i, c)[1]))
                   for i, c in enumerate(coords)]
         self.clipped_rows += grid.size ** 2 - math.prod(inside)
-        vals = field.eval_lattice(coords, self.policy)
+        vals = field.eval_lattice(coords, "edge")
         return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 
@@ -400,12 +399,8 @@ class GramSpectrum(Spectrum):
         self.base = base
 
     def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
-        a = kn_quantize(fiber_table(self.base, lam, grid))
+        a = kn_quantize(self.base.fiber_table(lam, grid))
         return kn_symbol_of(FiberOperator(lam, grid, a.matrix.conj().T @ a.matrix))
-
-    def _evaluate(self, W, lam):
-        raise NotImplementedError(
-            "gram fibers exist only as tables; sample with fiber_table")
 
 
 def verify_inverse(result: InversionResult) -> dict:
@@ -422,7 +417,7 @@ def verify_inverse(result: InversionResult) -> dict:
     for row in result.rows:
         direct = recon.inverse_table(row.lam)
         clipped = recon.clipped_rows
-        glued = fiber_table(recon, row.lam, result.grid)
+        glued = recon.fiber_table(row.lam, result.grid)
         scale = max(direct.sup_norm(), 1e-300)
         report[row.lam] = {
             "residual_right": row.residual_right,
@@ -435,7 +430,7 @@ def verify_inverse(result: InversionResult) -> dict:
 
 def lambda_derivative_check(spec, lam: float, grid: LineGrid,
                             cond_limit: float = 1e8, h_rel: float = 0.02,
-                            order: int = 1, center: "tuple | None" = None) -> dict:
+                            order: int = 1, fiber: "Fiber | None" = None) -> dict:
     """Derivative structure of the inverse fibers at one central frequency.
 
     At order 1 this checks d_lam B = -B (d_lam A) B, with all derivatives
@@ -444,8 +439,8 @@ def lambda_derivative_check(spec, lam: float, grid: LineGrid,
     orders report just the scaled derivative |lam|^M ||d^M B|| used by
     the uniformity scan, plus the sup of the differentiated symbol table.
 
-    `center` is (B, sigma_min, sigma_max) of the fiber at `lam` when an
-    inversion run already holds it; otherwise that fiber is inverted here.
+    `fiber` is the record of the fiber at `lam` when an inversion run
+    already holds it; otherwise that fiber is inverted here.
     Each stencil node's inverse is exact only up to size * eps * ||A|| ||B||^2,
     so a derivative norm below that bound times sum |w_o| / h^order (the
     `rounding_floor`) is noise: the row reports `zero_to_rounding` and no
@@ -453,18 +448,17 @@ def lambda_derivative_check(spec, lam: float, grid: LineGrid,
     """
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
-    if center is None:
-        b, sigma_min, cond = invert_fiber(
-            kn_quantize(fiber_table(spec, lam, grid)), cond_limit)
-        center = (b.matrix, sigma_min, sigma_min * cond)
-    b0, sigma_min, sigma_max = center
+    if fiber is None:
+        fiber = invert_fiber(kn_quantize(spec.fiber_table(lam, grid)), cond_limit)
+    b0, sigma_min = fiber.b.matrix, fiber.sigma_min
+    sigma_max = sigma_min * fiber.cond
     h = h_rel * abs(lam)
     off, wts = stencil(order)
     a_nodes, b_nodes = [], []
     for o in off:
-        a = kn_quantize(fiber_table(spec, lam + o * h, grid))
+        a = kn_quantize(spec.fiber_table(lam + o * h, grid))
         a_nodes.append(a.matrix)
-        b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit)[0].matrix)
+        b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit).b.matrix)
     scale = h ** order
     da = sum(w * m for w, m in zip(wts, a_nodes)) / scale
     db = sum(w * m for w, m in zip(wts, b_nodes)) / scale
@@ -495,23 +489,23 @@ def lambda_derivative_check(spec, lam: float, grid: LineGrid,
 
 def uniform_derivative_scan(spec, lam_values, grid: LineGrid,
                             cond_limit: float = 1e8, m_max: int = 1,
-                            centers: "dict | None" = None) -> dict:
+                            fibers: "dict | None" = None) -> dict:
     """Scaled inverse derivatives across fibers, with a uniformity verdict.
 
     Uniformity per order means the largest scaled derivative stays within
     a factor 4 of the median over the lam grid; a family leaving the
     symbol class under inversion shows up as orders of magnitude instead.
     Only rows above their rounding floor are judged (`resolved`); an order
-    whose rows are all zero to rounding is uniform. `centers` maps lam to
-    the `center` argument of `lambda_derivative_check`.
+    whose rows are all zero to rounding is uniform. `fibers` maps lam to
+    the `fiber` argument of `lambda_derivative_check`.
     """
     orders = {}
     for order in range(1, m_max + 1):
         rows = []
         for lam in lam_values:
-            center = centers.get(float(lam)) if centers else None
+            fiber = fibers.get(float(lam)) if fibers else None
             rows.append(lambda_derivative_check(spec, lam, grid, cond_limit,
-                                                order=order, center=center))
+                                                order=order, fiber=fiber))
         scaled = [r["scaled_derivative"] for r in rows if not r["zero_to_rounding"]]
         top = max(scaled, default=0.0)
         med = float(np.median(scaled)) if scaled else 0.0
@@ -530,9 +524,5 @@ def uniform_derivative_scan(spec, lam_values, grid: LineGrid,
 
 def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     """Derivative scan over the fibers an inversion run already covered."""
-    if result.spec is None:
-        raise ValueError("result was built without a source family")
-    centers = {r.lam: (result.fibers[r.lam].matrix, r.sigma_min, r.sigma_max)
-               for r in result.rows}
     return uniform_derivative_scan(result.spec, result.lam_values, result.grid,
-                                   result.cond_limit, m_max, centers)
+                                   result.cond_limit, m_max, result.fibers)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SampledField, write_blob, read_blob
-from .grids import Axis, Grid, LineGrid, centered_dft, flat_coords, flat_phase
+from .grids import Axis, Grid, LineGrid, centered_dft, centered_idft, flat_coords, flat_phase
 from .group import GroupPoint
 
 
@@ -95,9 +95,6 @@ class FiberOperator:
             raise ValueError("fiber grids differ")
         return FiberOperator(self.lam, self.grid, self.matrix @ other.matrix)
 
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
     @classmethod
     def identity(cls, grid: LineGrid, lam: float | None = None) -> "FiberOperator":
         return cls(lam, grid, np.eye(grid.size, dtype=complex))
@@ -131,8 +128,7 @@ def pi_point(h: GroupPoint, lam: float, u: StateVector) -> StateVector:
     shift = np.sign(lam) * root * h.x
     axes = tuple(range(grid.dim))
     spec = centered_dft(u.values, axes) * _shift_phase(grid, shift)
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spec, axes=axes), axes=axes),
-                           axes=axes)
+    vals = centered_idft(spec, axes)
     ramp = np.exp(2j * np.pi * root * (grid.flat_points() @ h.y)).reshape(grid.shape)
     phase = np.exp(2j * np.pi * lam * h.t)
     return u.with_values(phase * ramp * vals)

@@ -161,6 +161,10 @@ class Spectrum:
     def derivative(self, alpha: Sequence[int], beta: int) -> "Spectrum | None":
         return None
 
+    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
+        """Symbol table of the fiber at lam; table-backed families override it."""
+        return fiber_symbol(self, lam, grid)
+
 
 class CallableSpectrum(Spectrum):
     def __init__(self, n: int, fun: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -205,7 +205,7 @@ def test_criterion_6_inversion_end_to_end():
     neumann = 0.0
     for lam in (0.5, -0.5, 2.0):
         series, tail = neumann_inverse(fiber_symbol(spec, lam, grid), k_max=60)
-        table = kn_symbol_of(res.fibers[lam])
+        table = kn_symbol_of(res.fibers[lam].b)
         neumann = max(neumann, tail,
                       float(np.max(np.abs(series.values - table.values))))
     # closed-form reciprocal family: the analytic model of the inverse,
@@ -228,7 +228,7 @@ def test_criterion_6_inversion_end_to_end():
     for lam in LADDER:
         model = fiber_symbol(recip, lam, grid)
         model_gap = max(model_gap, float(np.max(np.abs(
-            model.values - kn_symbol_of(res.fibers[lam]).values))))
+            model.values - kn_symbol_of(res.fibers[lam].b).values))))
     verif = verify_inverse(res)
     two_sided = max(max(v["residual_right"], v["residual_left"])
                     for v in verif.values())

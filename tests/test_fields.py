@@ -127,8 +127,8 @@ def _footprint_probes(f: SampledField, rng) -> list:
     for i in range(f.grid.ndim):
         h, d = f.axis_half_width(i), f.axis_spacing(i)
         inside = rng.uniform(-h, h, size=2)
-        out.append(np.concatenate([[-1.7 * h, -h, h - d, h - d / 3, h, 1.2 * h],
-                                   inside]))
+        out.append(np.concatenate([[-1.7 * h, -h * (1 + 1e-9), -h, h - d, h - d / 3,
+                                    h, 1.2 * h], inside]))
     return out
 
 
@@ -157,6 +157,9 @@ def test_eval_lattice_matches_eval_at_on_flat_rows(policy):
         if policy == "zero":
             zeroed = f.out_of_footprint(flat_coords(axes))
             assert zeroed.any() and np.all(got.ravel()[zeroed] == 0.0)
+            # the rounding slack below -H does not reach -H(1 + 1e-9)
+            for i, a in enumerate(axes):
+                assert list(f.axis_footprint(i, a[1:3])[1]) == [False, True]
     with pytest.raises(ValueError):
         group3.eval_lattice(axes[:2], policy)
     with pytest.raises(ValueError):

@@ -10,13 +10,13 @@ from common import GROUP32
 from heisenflag.checks import random_field
 from heisenflag.cli import ExperimentConfig
 from heisenflag.fields import LambdaWindow, SampledField
+from heisenflag import inversion
 from heisenflag.grids import LineGrid
 from heisenflag.inversion import (
     FiberInversionError,
     GramSpectrum,
     SymmetryError,
     derivative_report,
-    fiber_table,
     gramian_lower_bound,
     invert_fiber,
     invert_flag,
@@ -73,7 +73,7 @@ def test_modes_agree_and_residuals_two_sided():
     # the SVD inverse agrees with LAPACK's LU inverse of the same fiber
     for lam in (0.5, -1.0):
         direct = np.linalg.inv(kn_quantize(fiber_symbol(spec, lam, GRID)).matrix)
-        gap = np.max(np.abs(direct - res.fibers[lam].matrix))
+        gap = np.max(np.abs(direct - res.fibers[lam].b.matrix))
         assert gap < 1e-11
 
 
@@ -167,7 +167,7 @@ def test_strict_mode_rejects_and_accepts():
     res = invert_flag(gram, [0.5, -1.0], GRID, strict=True)
     assert res.uniformly_invertible
     assert res.worst_residual < 1e-10
-    for b in res.fibers.values():
+    for b, _, _ in res.fibers.values():
         herm = np.linalg.norm(b.matrix - b.matrix.conj().T)
         assert herm < 1e-10 * np.linalg.norm(b.matrix)
 
@@ -212,7 +212,7 @@ def test_lattice_clipped_rows_match_flat_rows():
     # frequencies up to 4 against the table's 2: part of the lattice is out
     wide = LineGrid(64, 4.0)
     lattice, flat = res.spectrum(), res.spectrum()
-    got = fiber_table(lattice, 0.5, wide)
+    got = lattice.fiber_table(0.5, wide)
     want = fiber_symbol(flat, 0.5, wide)
     assert 0 < lattice.clipped_rows < wide.size ** 2
     assert lattice.clipped_rows == flat.clipped_rows
@@ -234,6 +234,37 @@ def test_verify_inverse_memory_at_rank_two():
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
     assert max(r["glue_error"] for r in report.values()) <= 1e-12
+    # the inverse frame map lands the table edge -H at -H(1 + eps) for
+    # lam = +-0.5, +-2; that is rounding, not a row outside the table
+    assert len(report) == 8
+    assert all(r["clipped_rows"] == 0 for r in report.values())
+
+
+def test_fiber_records_serve_every_consumer(monkeypatch):
+    # each fiber of the default ladder is inverted once, by invert_flag;
+    # the derivative scan inverts only its stencil nodes, verification
+    # inverts nothing, and the glued family inverts a missing fiber once
+    cfg = ExperimentConfig()
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    assert len(res.fibers) == 8
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].lam)
+        return invert_fiber(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "invert_fiber", counted)
+    derivative_report(res, m_max=1)
+    assert len(calls) == 32 and not set(calls) & set(res.fibers)
+    calls.clear()
+    verify_inverse(res)
+    assert calls == []
+    glued = res.spectrum()
+    W = np.array([[0.3, -0.7]])
+    glued(W, 3.0)
+    assert calls == [-3.0]
+    glued(W, 3.0)
+    assert calls == [-3.0]
 
 
 def test_reconstructed_family_interpolates():

@@ -198,6 +198,35 @@ def test_jets_match_sympy_at_rank_two():
         assert_jets_match(make_spectrum(name, n=2, eps=0.3), indices, W, lams)
 
 
+def tree_indices(n):
+    return [(alpha, beta) for alpha, beta in all_indices(2 * n, 2, 2)
+            if sum(alpha) + beta <= 2]
+
+
+def assert_tree_jets_match(text, spec, indices, oracle):
+    """Order <= 2 jets of a grammar tree against the sympy oracle.
+
+    The absolute tolerance is 1e-9 of each row's oracle max, but at least
+    64 eps of the largest oracle value of the whole block: a derivative
+    that sympy simplifies to exactly 0 comes out of the jet pass as the
+    rounding residue of its terms.
+    """
+    W, lams = signed_rows(np.random.default_rng(67), 12, 2 * spec.n)
+    with np.errstate(all="ignore"):
+        got = spec.derivatives(indices, W, lams)
+        # derivatives only exist where the family is defined
+        defined = np.isfinite(got[0])
+        wants = [oracle[index](W, lams) for index in indices]
+        oks = [defined & np.isfinite(want) for want in wants]
+        block = max(np.max(np.abs(want[ok]), initial=0.0)
+                    for want, ok in zip(wants, oks))
+        for (alpha, beta), row, want, ok in zip(indices, got, wants, oks):
+            scale = np.max(np.abs(want[ok]), initial=0.0)
+            atol = max(1e-9 * scale, 64 * np.finfo(float).eps * block)
+            np.testing.assert_allclose(row[ok], want[ok], rtol=1e-9, atol=atol,
+                                       err_msg=f"{text}: alpha={alpha} beta={beta}")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_jets_match_sympy_on_grammar_trees(data):
@@ -208,23 +237,21 @@ def test_jets_match_sympy_on_grammar_trees(data):
     assume(not tree.has(sp.zoo, sp.oo, -sp.oo, sp.nan))
     assume(all(np.isfinite(complex(a)) for a in tree.atoms(sp.Number)))
     spec = make_spectrum(f"expr: {text}", n=n)
-    indices = [(alpha, beta) for alpha, beta in all_indices(2 * n, 2, 2)
-               if sum(alpha) + beta <= 2]
+    indices = tree_indices(n)
     try:
         oracle = sympy_derivatives(spec, indices)
     except NotImplementedError:
         assume(False)
-    W, lams = signed_rows(np.random.default_rng(67), 12, 2 * n)
-    with np.errstate(all="ignore"):
-        got = spec.derivatives(indices, W, lams)
-        # derivatives only exist where the family is defined
-        defined = np.isfinite(got[0])
-        for (alpha, beta), row in zip(indices, got):
-            want = oracle[alpha, beta](W, lams)
-            ok = defined & np.isfinite(want)
-            scale = np.max(np.abs(want[ok]), initial=0.0)
-            np.testing.assert_allclose(row[ok], want[ok], rtol=1e-9, atol=1e-9 * scale,
-                                       err_msg=f"{text}: alpha={alpha} beta={beta}")
+    assert_tree_jets_match(text, spec, indices, oracle)
+
+
+def test_jets_match_sympy_where_a_derivative_is_exactly_zero():
+    # sympy reduces d/dw1 and d^2/dw1^2 of the sign w1/|w1| to exactly 0;
+    # the jet pass leaves +-1.1e-16 at some of the rows
+    spec = make_spectrum("expr: w1/abs(w1)")
+    indices = tree_indices(1)
+    oracle = sympy_derivatives(spec, indices)
+    assert_tree_jets_match("w1/abs(w1)", spec, indices, oracle)
 
 
 def test_order_zero_evaluator_at_the_origin():
