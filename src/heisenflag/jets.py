@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor jets pushed through a sympy expression tree.
+"""Truncated multivariate Taylor jets pushed through an expression tape.
 
 A jet of f at a batch of rows holds the Taylor coefficients
 c_m = d^m f / m! of f at every row, for every monomial m of the set
@@ -14,17 +14,23 @@ its Taylor series at the base value u0,
     g(u) = sum_{k <= D} g^(k)(u0) / k! (u - u0)^k,
 
 which is exact on the set: (u - u0)^k vanishes there once k exceeds the
-largest total degree D. One pass over the tree therefore yields every
+largest total degree D. One pass over the tape therefore yields every
 derivative in the set at once (Griewank and Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13); order 0 of the same pass is
 plain numpy evaluation.
 
-Node rules: sums and products are exact; a positive integer power is a
-repeated product, so w1^2 stays exact at w1 = 0; other numeric powers and
-exp use their series at the base value; a symbolic exponent goes through
-exp(e log b); abs is sign(u0) times the jet, valid off u0 = 0, which the
-flag scans never evaluate (lam = 0 is excluded). Any other node raises
-ValueError when the tape is compiled.
+A `Tape` holds the expression as postorder instructions (op, operands,
+param), one slot per distinct subtree; the inline grammar of
+`heisenflag.kernels` builds it directly. The encoding: a - b is
+a + (-1) b, a / b is a b^-1, sqrt is ^0.5, and a constant exponent gives
+`ipow` (positive integer), `pow` (any other real) or the constant 1
+(zero); a variable or complex exponent gives `powe`.
+
+Instruction rules: sums and products are exact; a positive integer power
+is a repeated product, so w1^2 stays exact at w1 = 0; other numeric
+powers and exp use their series at the base value; a symbolic exponent
+goes through exp(e log b); abs is sign(u0) times the jet, valid off
+u0 = 0, which the flag scans never evaluate (lam = 0 is excluded).
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import itertools
 import math
 
 import numpy as np
-import sympy as sp
 
 
 class Truncation:
@@ -91,56 +96,99 @@ def truncation(dim: int, alpha_max: int, beta_max: int) -> Truncation:
 
 # -- the tape ------------------------------------------------------------------
 
-def _constant(node) -> np.generic:
-    value = complex(node)
-    if not np.isfinite(value):
-        raise ValueError(
-            f"spectrum expression is not finite in floating point: {sp.N(node, 6)}")
-    return np.complex128(value) if value.imag else np.float64(value.real)
+class Tape:
+    """Postorder instructions (op, operands, param) of one expression.
+
+    Each instruction is interned, so two equal subtrees share one slot and
+    are evaluated once per pass. The builders take operands that are slot
+    numbers (int) or constants (float or complex), at least one of them a
+    slot; folding two constants is the caller's job. They apply the
+    identities x + 0 = x, 1 x = x, 0 x = 0, x^1 = x, x^0 = 1 and
+    a + (-1) a = 0, so their result is a slot or a constant as well.
+    """
+
+    def __init__(self):
+        self.code: list = []
+        self._slots: dict = {}
+
+    def _emit(self, op: str, args: tuple = (), param=None) -> int:
+        ins = (op, args, param)
+        slot = self._slots.get(ins)
+        if slot is None:
+            slot = self._slots[ins] = len(self.code)
+            self.code.append(ins)
+        return slot
+
+    def _slot(self, x) -> int:
+        if is_slot(x):
+            return x
+        x = complex(x)
+        return self._emit("const", (), np.complex128(x) if x.imag else np.float64(x.real))
+
+    def var(self, index: int) -> int:
+        return self._emit("var", (), index)
+
+    def _negation(self, slot: int) -> "int | None":
+        """a when `slot` is mul(-1, a) or mul(a, -1)."""
+        op, args, _ = self.code[slot]
+        if op == "mul":
+            for c, a in (args, args[::-1]):
+                if self.code[c] == ("const", (), -1.0):
+                    return a
+        return None
+
+    def add(self, a, b):
+        if not is_slot(a) and a == 0:
+            return b
+        if not is_slot(b) and b == 0:
+            return a
+        if is_slot(a) and is_slot(b) and (
+                self._negation(b) == a or self._negation(a) == b):
+            return 0.0
+        return self._emit("add", (self._slot(a), self._slot(b)))
+
+    def mul(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            if not is_slot(x) and x in (0, 1):
+                return y if x == 1 else 0.0
+        return self._emit("mul", (self._slot(a), self._slot(b)))
+
+    def power(self, base, e):
+        """base^e. A real constant exponent picks the rule: `ipow` for a
+        positive integer, `pow` otherwise; any other exponent is `powe`."""
+        if is_slot(e) or complex(e).imag:
+            return self._emit("powe", (self._slot(base), self._slot(e)))
+        p = complex(e).real
+        if p == 0:                      # x^0 = 1 everywhere, as in numpy
+            return 1.0
+        if p == 1:
+            return base
+        if p > 0 and p.is_integer():
+            return self._emit("ipow", (self._slot(base),), int(p))
+        return self._emit("pow", (self._slot(base),), p)
+
+    def exp(self, a) -> int:
+        return self._emit("exp", (self._slot(a),))
+
+    def abs(self, a) -> int:
+        return self._emit("abs", (self._slot(a),))
+
+    def program(self, root) -> list:
+        """The instructions `root` depends on, renumbered, root last: the
+        list `evaluate` runs."""
+        root = self._slot(root)
+        live = {root}
+        for k in range(root, -1, -1):
+            if k in live:
+                live.update(self.code[k][1])
+        order = sorted(live)
+        renumber = {k: i for i, k in enumerate(order)}
+        return [(op, tuple(renumber[a] for a in args), param)
+                for op, args, param in (self.code[k] for k in order)]
 
 
-def compile_tree(expr, variables: tuple) -> list:
-    """Postorder tape of `expr`, one instruction (op, operands, param) per
-    distinct node: sympy hash-conses its nodes, so a shared subexpression
-    is one slot and is evaluated once per pass."""
-    slots: dict = {}
-    tape: list = []
-
-    def visit(node) -> int:
-        if node in slots:
-            return slots[node]
-        if node.is_Symbol:
-            ins = ("var", (), variables.index(node))
-        elif node.is_Atom:
-            ins = ("const", (), _constant(node))
-        elif node.is_Add or node.is_Mul:
-            ins = ("add" if node.is_Add else "mul",
-                   tuple(visit(a) for a in node.args), None)
-        elif node.is_Pow:
-            base, e = node.args
-            if not e.is_Number:
-                ins = ("powe", (visit(base), visit(e)), None)
-            else:
-                p = float(_constant(e))
-                if p == 0:                  # x^0 = 1 everywhere, as in numpy
-                    ins = ("const", (), np.float64(1.0))
-                elif p > 0 and p.is_integer():
-                    ins = ("ipow", (visit(base),), int(p))
-                else:
-                    ins = ("pow", (visit(base),), p)
-        elif isinstance(node, sp.exp):
-            ins = ("exp", (visit(node.args[0]),), None)
-        elif isinstance(node, sp.Abs):
-            ins = ("abs", (visit(node.args[0]),), None)
-        else:
-            raise ValueError(
-                f"no jet rule for {type(node).__name__} in spectrum expression")
-        slots[node] = len(tape)
-        tape.append(ins)
-        return slots[node]
-
-    visit(expr)
-    return tape
+def is_slot(x) -> bool:
+    return isinstance(x, int)
 
 
 # -- one pass --------------------------------------------------------------------

@@ -22,6 +22,7 @@ flagged when a shell blows up against the mid-range.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ import sympy as sp
 from .fields import SampledField
 from .finitediff import partial_cloud
 from .grids import Grid, LineGrid, flat_coords, flat_phase
-from .jets import compile_tree, evaluate, truncation
+from .jets import evaluate, truncation
 from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
 
@@ -176,31 +177,72 @@ class CallableSpectrum(Spectrum):
         return np.asarray(self._fun(W, lam))
 
 
-class SympySpectrum(Spectrum):
-    """Symbol family given by a sympy expression in w1..w_{2n} and lam.
+def flag_symbols(n: int, real: bool = False) -> tuple:
+    """Sympy symbols w1..w_{2n}, lam; `real=True` makes |lam|
+    differentiate to sign(lam) rather than through re/im parts."""
+    kw = {"real": True} if real else {}
+    return (*sp.symbols(f"w1:{2 * n + 1}", **kw), sp.Symbol("lam", **kw))
 
-    The expression is compiled once into a tape of Taylor-jet rules
-    (`heisenflag.jets`). One pass over the tape yields every derivative
-    d_w^alpha d_lam^beta of a scan at once, and order 0 of the same pass is
-    the family's value. |lam| differentiates to sign(lam): the delta terms
-    of its higher derivatives live on the excluded lam = 0 plane.
-    `derivative(alpha, beta)` returns a cached view onto that evaluator.
+
+def _sympy_number(c) -> sp.Expr:
+    # integers exact in a double stay Integer, so -1*x prints as -x
+    c = complex(c)
+    re, im = (sp.Integer(int(x)) if x.is_integer() and abs(x) < 2 ** 53
+              else sp.Float(x) for x in (c.real, c.imag))
+    return re + sp.I * im if im else re
+
+
+def tape_expression(tape: list, symbols: tuple) -> sp.Expr:
+    """Sympy expression of a jet tape over `symbols` (w1..w_{2n}, lam)."""
+    vals: list = []
+    for op, args, param in tape:
+        xs = [vals[i] for i in args]
+        if op == "var":
+            out = symbols[param]
+        elif op == "const":
+            out = _sympy_number(param)
+        elif op == "add":
+            out = sp.Add(*xs)
+        elif op == "mul":
+            out = sp.Mul(*xs)
+        elif op in ("ipow", "pow"):
+            out = xs[0] ** _sympy_number(param)
+        elif op == "powe":
+            out = xs[0] ** xs[1]
+        elif op == "exp":
+            out = sp.exp(xs[0])
+        else:
+            out = sp.Abs(xs[0])
+        vals.append(out)
+    return vals[-1]
+
+
+class SympySpectrum(Spectrum):
+    """Symbol family given by an inline expression in w1..w_{2n} and lam.
+
+    The text is parsed once straight into a tape of Taylor-jet rules
+    (`heisenflag.jets`, grammar in `heisenflag.kernels`). One pass over the
+    tape yields every derivative d_w^alpha d_lam^beta of a scan at once,
+    and order 0 of the same pass is the family's value. |lam|
+    differentiates to sign(lam): the delta terms of its higher derivatives
+    live on the excluded lam = 0 plane. `derivative(alpha, beta)` returns a
+    cached view onto that evaluator. `expr` and `symbols` are sympy views
+    of the tape, built on first use, for printing and test oracles.
     """
 
-    def __init__(self, expr, n: int, symmetric: bool = False):
+    def __init__(self, text: str, n: int, symmetric: bool = False):
         super().__init__(n, symmetric)
-        w = sp.symbols(f"w1:{2 * n + 1}", real=True)
-        lam = sp.Symbol("lam", real=True)
-        # rebind by name so |lam| differentiates to sign(lam), not re/im parts
-        named = {s.name: s for s in (*w, lam)}
-        expr = sp.sympify(expr)
-        unknown = {s for s in expr.free_symbols if s.name not in named}
-        if unknown:
-            raise ValueError(f"unknown symbols in spectrum expression: {unknown}")
-        self.expr = expr.subs({s: named[s.name] for s in expr.free_symbols})
-        self.symbols = (*w, lam)
-        self._tape = compile_tree(self.expr, self.symbols)
+        from .kernels import parse_tape     # deferred: kernels imports this module
+        self._tape = parse_tape(text, n)
         self._views: dict = {}
+
+    @functools.cached_property
+    def symbols(self) -> tuple:
+        return flag_symbols(self.n, real=True)
+
+    @functools.cached_property
+    def expr(self) -> sp.Expr:
+        return tape_expression(self._tape, self.symbols)
 
     def derivatives(self, indices, W, lam):
         W, lam = self._rows(W, lam)
@@ -338,23 +380,21 @@ class SeminormReport:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "overall_ok": self.overall_ok,
-            "blowup_factor": self.blowup_factor,
-            "rows": [
-                {
-                    "alpha": list(r.alpha),
-                    "beta": r.beta,
-                    "lam": r.lam,
-                    "sup": r.sup,
-                    "verdict": r.verdict,
-                    "shell_radii": list(r.shell_radii),
-                    "shell_sup": list(r.shell_sup),
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        """Sorted keys, indented, one row per line. Each row goes through
+        the C encoder: an `indent` makes json use its pure-Python one."""
+        head = {"blowup_factor": self.blowup_factor, "overall_ok": self.overall_ok}
+        rows = ",\n".join("    " + json.dumps({
+            "alpha": list(r.alpha),
+            "beta": r.beta,
+            "lam": r.lam,
+            "sup": r.sup,
+            "verdict": r.verdict,
+            "shell_radii": list(r.shell_radii),
+            "shell_sup": list(r.shell_sup),
+        }, sort_keys=True) for r in self.rows)
+        return ("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
+                                for k, v in sorted(head.items()))
+                + f'  "rows": [\n{rows}\n  ]\n}}')
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -428,7 +468,8 @@ def flag_estimate_report(spec: Spectrum,
 
     A row fails near the flag boundary when the innermost shell exceeds
     the mid shell by `blowup_factor`, and fails at infinity when the
-    outermost shell does.
+    outermost shell does. A row with a shell sup that is not finite fails
+    as `non-finite`: every comparison with NaN is false.
     """
     if indices is None:
         indices = default_multi_indices(spec.n)
@@ -457,12 +498,13 @@ def flag_estimate_report(spec: Spectrum,
             # plateau sets in late (around ||w||^2 ~ |lam|), so a flag also
             # needs the endmost shells to still be climbing
             step = np.sqrt(radii[1] / radii[0])
-            flags = []
-            if (sups[0] >= blowup_factor * ref and sups[0] > 1e-12
-                    and sups[0] >= step * sups[1]):
+            finite = bool(np.all(np.isfinite(sups)))
+            flags = [] if finite else ["non-finite"]
+            if finite and (sups[0] >= blowup_factor * ref and sups[0] > 1e-12
+                           and sups[0] >= step * sups[1]):
                 flags.append("origin-blowup")
-            if (sups[-1] >= blowup_factor * ref and sups[-1] > 1e-12
-                    and sups[-1] >= step * sups[-2]):
+            if finite and (sups[-1] >= blowup_factor * ref and sups[-1] > 1e-12
+                           and sups[-1] >= step * sups[-2]):
                 flags.append("growth-at-infinity")
             report.rows.append(SeminormRow(
                 alpha=tuple(alpha), beta=int(beta), lam=float(lam),

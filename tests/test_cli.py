@@ -212,14 +212,30 @@ def test_module_entry_point(tmp_path):
     ("estimates", "1e400*w1"),                          # literals beyond float range
     ("invert", "1e400 + w1"),
     ("estimates", "10^300*10^300*w1"),                  # a folded constant beyond it
+    ("estimates", "1/(w1-w1)"),                         # a difference that cancels
+    ("estimates", "exp(1000)*w1"),                      # a folded exp beyond range
+    ("estimates", "2^-2000"),                           # a power that underflows
 ], ids=["one-over-zero", "zero-to-minus-one", "w1-over-zero",
         "nested-2000", "power-tower", "literal-overflow-estimates",
-        "literal-overflow-invert", "folded-overflow"])
+        "literal-overflow-invert", "folded-overflow", "cancelled-difference",
+        "exp-overflow", "power-underflow"])
 def test_inline_kernel_that_crashed_or_hung_exits_config(command, expr):
     proc = run_module(command, "--kernel", f"expr: {expr}")
     assert proc.returncode == EXIT_CONFIG
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["exp(1000*w1^2) - exp(1000*w2^2)",
+                                  "exp(w1^2 + w2^2)^1000"])
+def test_estimates_rows_that_are_not_finite_fail(tmp_path, expr):
+    # every comparison with NaN is false: such rows would otherwise read ok
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["estimates", "--kernel", f"expr: {expr}", "--out", str(out)])
+    assert code == EXIT_TOLERANCE
+    rows = list(csv.DictReader((out / "flag_report.csv").read_text().splitlines()))
+    assert len(rows) == 96 and all(r["verdict"] == "non-finite" for r in rows)
 
 
 def test_config_dyadic_ladder_and_validation():

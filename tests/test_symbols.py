@@ -1,8 +1,8 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -97,10 +97,9 @@ def test_dictionary_symbol_of_compression_matches_field_route():
 def test_fiber_symbol_of_gaussian_matches_analytic():
     av, at = balanced_rates(GROUPWIDE)
     f = gaussian_field(GROUPWIDE, v_rate=av, t_rate=at)
-    w1, w2, lam = sp.symbols("w1 w2 lam")
-    khat = (1 / av) * sp.exp(-sp.pi * (w1 ** 2 + w2 ** 2) / av) \
-        * (1 / sp.sqrt(at)) * sp.exp(-sp.pi * lam ** 2 / at)
-    spec = SympySpectrum(khat, 1)
+    pi = repr(math.pi)
+    spec = SympySpectrum(f"(1/{av!r})*exp(-{pi}*(w1^2 + w2^2)/{av!r})"
+                         f" * (1/sqrt({at!r}))*exp(-{pi}*lam^2/{at!r})", 1)
     for lam_val in (0.5, -0.5, 1.0):
         want = fiber_symbol(spec, lam_val, LINE64)
         got = fiber_symbol_of_field(f, lam_val, LINE64)
@@ -234,8 +233,7 @@ def test_jets_match_sympy_on_grammar_trees(data):
     text, tree = data.draw(expression_trees(n))
     # a finite tree builds: every node of the grammar has a jet rule, and
     # only a constant beyond floating-point range is refused
-    assume(not tree.has(sp.zoo, sp.oo, -sp.oo, sp.nan))
-    assume(all(np.isfinite(complex(a)) for a in tree.atoms(sp.Number)))
+    assume(tree is not None)
     spec = make_spectrum(f"expr: {text}", n=n)
     indices = tree_indices(n)
     try:
