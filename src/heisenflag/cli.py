@@ -285,7 +285,7 @@ def cmd_estimates(cfg: ExperimentConfig) -> int:
     })
     print(f"estimates[{cfg.kernel}]: {len(report.rows) - len(bad)}/"
           f"{len(report.rows)} rows ok"
-          + ("" if summary["matches_expectation"] else
+          + ("" if entry is None or summary["matches_expectation"] else
              " (contradicts catalog expectation)"))
     for r in bad:
         print(f"  {r.verdict}: alpha={list(r.alpha)} beta={r.beta} "

@@ -13,8 +13,11 @@ partial transform in t,
 with true (unwrapped) coordinate values in the twist phase and periodic
 index wrap in the lattice shift v - v'. The y-part of the sum is a
 circular convolution once the phase is split as
-e^{-2 pi i lam x'.y} e^{+2 pi i lam x'.y'}, so each fiber costs one FFT
-pass per x' lattice point.
+e^{-2 pi i lam x'.y} e^{+2 pi i lam x'.y'}. Each fiber gathers its
+(x', x, eta) products in blocks of at most _BLOCK_ELEMENTS complex
+values, takes each block to y with one batched inverse FFT, and sums it
+over x' against the phase table; the N^{3n}-element product (268 MiB at
+n = 2, N = 16) is never held whole.
 """
 
 from __future__ import annotations
@@ -121,36 +124,73 @@ def star_involution(f: SampledField) -> SampledField:
 
 # -- convolution --------------------------------------------------------------
 
+# Complex elements in one block of the (x', x, eta) products of a fiber,
+# rounded down to whole x' rows of N^{2n} products, at least one row.
+# A block's temporaries (the gathered products and their inverse
+# transform) then take 256 KiB each and stay in a core's L2 cache; on a
+# 2-core Xeon with 2 MiB of L2 per core, 2^16-element blocks made an
+# n = 2, N = 8 fiber 1.4 times slower (13.5 ms against 9.8 ms). The
+# whole product is N^{3n} elements, 268 MiB at n = 2 and N = 16, where
+# one row is as large as each of the other N^{2n} arrays of the fiber.
+_BLOCK_ELEMENTS = 2 ** 14
+
+
+def _shift_table(N: int, n: int) -> np.ndarray:
+    """Flat x-lattice index of (x - x') mod N per axis, shape (N^n, N^n).
+
+    Entry [x', x] is the row-major index of the offset x - x' over n axes
+    of N points, wrapped axis by axis.
+    """
+    k = np.indices((N,) * n).reshape(n, -1)  # [axis, flat point]
+    diff = (k[:, None, :] - k[:, :, None]) % N  # [axis, x', x]
+    return np.ravel_multi_index(tuple(diff), (N,) * n)
+
+
 def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
                           grid: Grid) -> np.ndarray:
     """One central-frequency fiber of the group convolution.
 
     fv, gv: fiber arrays of shape (Nv,)*2n on the grid's v-axes.
-    Returns Dv^{2n} sum_{v'} fv(v') gv(v - v') e^{-2 pi i lam x'.(y - y')}.
+    Returns Dv^{2n} sum_{v'} fv(v') gv(v - v') e^{-2 pi i lam x'.(y - y')}
+    with true coordinates in the phase and the index wrap in v - v'.
+
+    With FY, GY the y-transforms of fv e^{+2 pi i lam x.y} and of gv,
+
+        out(x, y) = sum_{x'} e^{-2 pi i lam x'.y}
+                    IFFT_eta[FY(x', eta) GY(x - x', eta)](y).
+
+    The sum runs over blocks of x' rows, as many as fit in
+    _BLOCK_ELEMENTS (x', x, eta) products and at least one. A gather
+    through the shift table forms a block, one batched inverse FFT over
+    eta takes it to y, and the phase table contracts it over x'.
     """
     n = grid.n
     ax0 = grid.axes[0]
     N = ax0.count
-    pts = ax0.points()
-    x_axes = tuple(range(n))
+    M = N ** n  # lattice points of each half, x and y, of v
+    v_shape = (N,) * (2 * n)
     y_axes = tuple(range(n, 2 * n))
 
-    fmod = fv * np.exp(2j * np.pi * lam * _lattice_xy(grid))
-
+    # phase[x', y] = e^{-2 pi i lam x'.y}; its conjugate twists fv
+    phase = np.exp(-2j * np.pi * lam * _lattice_xy(grid)).reshape(M, M)
+    fmod = fv * phase.conj().reshape(v_shape)
     g_sh = np.fft.ifftshift(gv, axes=tuple(range(2 * n)))
-    GY = np.fft.fftn(g_sh, axes=y_axes)
-    FY = np.fft.fftn(fmod, axes=y_axes)
+    GY = np.fft.fftn(g_sh, axes=y_axes).reshape(M, M)
+    FY = np.fft.fftn(fmod, axes=y_axes).reshape(M, M)
 
-    ymesh = np.meshgrid(*([pts] * n), indexing="ij")
-    out = np.zeros_like(fv)
-    for flat in range(N ** n):
-        jx = np.unravel_index(flat, (N,) * n)
-        GYr = np.roll(GY, shift=jx, axis=x_axes)
-        row = FY[jx][(None,) * n + (...,)]  # broadcast over output x-axes
-        term = np.fft.ifftn(row * GYr, axes=y_axes)
-        xprime_dot_y = sum(pts[jx[i]] * ymesh[i] for i in range(n))
-        out += np.exp(-2j * np.pi * lam * xprime_dot_y)[(None,) * n + (...,)] * term
-    return out * ax0.spacing ** (2 * n)
+    shift = _shift_table(N, n)
+    p_rows = max(1, _BLOCK_ELEMENTS // M ** 2)
+    eta_axes = tuple(range(2, n + 2))
+    out = np.zeros((M, M), dtype=complex)
+    for p0 in range(0, M, p_rows):
+        p = slice(p0, p0 + p_rows)
+        prod = GY[shift[p]]  # [x', x, eta]
+        prod *= FY[p, None, :]
+        term = np.fft.ifftn(prod.reshape(prod.shape[:2] + (N,) * n),
+                            axes=eta_axes).reshape(prod.shape)
+        term *= phase[p, None, :]
+        out += term.sum(axis=0)
+    return out.reshape(v_shape) * ax0.spacing ** (2 * n)
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:

@@ -62,6 +62,35 @@ def direct_convolution(f: SampledField, g: SampledField) -> np.ndarray:
     return grid.weight * out
 
 
+def twisted_fiber_direct(fv: np.ndarray, gv: np.ndarray, lam: float,
+                         grid: Grid, outputs=None) -> np.ndarray:
+    """One central-frequency fiber of the group convolution by the
+    literal double sum over lattice points v = (x, y), v' = (x', y'):
+
+        out(v) = Dv^{2n} sum_{v'} fv(v') gv(v - v') e^{-2 pi i lam x'.(y - y')}.
+
+    gv is read at the index of v - v' wrapped periodically; the phase
+    takes the true coordinates of x' and y - y', unwrapped. `outputs`
+    lists the output indices v to evaluate, in that order; by default
+    every lattice point, returned in fv's shape.
+    """
+    n = grid.n
+    N = grid.axes[0].count
+    pts = grid.axes[0].points()
+    jp = np.indices(fv.shape).reshape(2 * n, -1)  # every v', [axis, point]
+    f_flat = fv.reshape(-1)
+    targets = list(np.ndindex(fv.shape)) if outputs is None else outputs
+    vals = []
+    for j in targets:
+        j = np.asarray(j)[:, None]
+        wrapped = tuple((j - jp + N // 2) % N)  # index of v - v'
+        xp_dot_dy = np.sum(pts[jp[:n]] * (pts[j[n:]] - pts[jp[n:]]), axis=0)
+        vals.append(np.sum(f_flat * gv[wrapped]
+                           * np.exp(-2j * np.pi * lam * xp_dot_dy)))
+    vals = grid.axes[0].spacing ** (2 * n) * np.array(vals)
+    return vals.reshape(fv.shape) if outputs is None else vals
+
+
 def symbol_interpolant_literal(values: np.ndarray, points: np.ndarray,
                                freqs: np.ndarray, xi: np.ndarray,
                                s: np.ndarray) -> np.ndarray:

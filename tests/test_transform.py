@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from common import GROUP16, GROUP32, GROUP8
-from oracles import direct_convolution, gaussian_transform_1d
+from oracles import direct_convolution, gaussian_transform_1d, twisted_fiber_direct
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
@@ -23,6 +25,7 @@ from heisenflag.transform import (
     partial_inverse_fourier,
     spike_field,
     star_involution,
+    twisted_fiber_product,
 )
 
 
@@ -86,6 +89,46 @@ def test_convolution_matches_direct_oracle():
     got = convolve(f, g)
     want = direct_convolution(f, g)
     assert np.max(np.abs(got.values - want)) < 1e-11
+
+
+@pytest.mark.parametrize("grid", [group_grid(1, 8, 4.0, 8, 4.0),
+                                  group_grid(2, 4, 2.0, 4, 4.0), GROUP32],
+                         ids=["n1-N8", "n2-N4", "n1-N32"])
+def test_twisted_fiber_product_matches_direct_sum(grid):
+    # at N = 32 the x' sum spans two blocks
+    rng = np.random.default_rng(40)
+    shape = grid.shape[:-1]
+    top = float(np.max(np.abs(grid.t_axis.freqs())))
+    for lam in (0.0, 0.3, -0.3, top, -top):
+        fv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        gv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = twisted_fiber_direct(fv, gv, lam, grid)
+        got = twisted_fiber_product(fv, gv, lam, grid)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_convolve_memory_at_rank_two():
+    # one n = 2, N = 16 fiber has 16^6 (x', x, eta) products, 268 MiB as
+    # one complex array; the blocked contraction never holds them whole
+    grid = group_grid(2, 16, 4.0, 2, 8.0)
+    rng = np.random.default_rng(41)
+    f, g = (noise_field(grid, rng) for _ in range(2))
+    tracemalloc.start()
+    try:
+        h = convolve(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    t_ax = 2 * grid.n
+    m = 0  # lam = -1/16
+    fiber = partial_fourier(h, t_ax).values[..., m]
+    outputs = [tuple(rng.integers(0, 16, 4)) for _ in range(6)]
+    want = twisted_fiber_direct(partial_fourier(f, t_ax).values[..., m],
+                                partial_fourier(g, t_ax).values[..., m],
+                                float(grid.t_axis.freqs()[m]), grid, outputs)
+    got = np.array([fiber[v] for v in outputs])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(fiber))
 
 
 def test_convolution_matches_continuum_quadrature():
