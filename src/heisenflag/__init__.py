@@ -51,7 +51,7 @@ from .symbols import (
     twisted_product,
     unit_symbol,
 )
-from .kernels import CATALOG, KernelParseError, make_spectrum, parse_kernel_expression
+from .kernels import CATALOG, KernelParseError, make_spectrum
 from .inversion import (
     SIGMA_FLOOR,
     FiberInversionError,
@@ -87,7 +87,7 @@ __all__ = [
     "SympySpectrum", "fiber_symbol", "field_of_spectrum",
     "flag_estimate_report", "kn_quantize", "kn_symbol_of", "sym0_seminorms",
     "twisted_product", "unit_symbol",
-    "CATALOG", "KernelParseError", "make_spectrum", "parse_kernel_expression",
+    "CATALOG", "KernelParseError", "make_spectrum",
     "SIGMA_FLOOR", "FiberInversionError", "GramSpectrum", "InversionResult",
     "ReconstructedSpectrum", "SymmetryError", "derivative_report",
     "gramian_lower_bound", "invert_fiber", "invert_flag",

@@ -71,11 +71,33 @@ class Truncation:
         self._left, self._right = i[order], j[order]
         # every k has the pair (k, 0), so no segment is empty
         self._starts = np.searchsorted(k[order], np.arange(self.size))
+        self._scratch: dict = {}
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two jets; a fresh array, never a view of scratch."""
         if self.size == 1:
             return a * b
-        return np.add.reduceat(a[self._left] * b[self._right], self._starts, axis=0)
+        left = np.take(a, self._left, axis=0, mode="clip", out=self._buffer(a, 0))
+        right = np.take(b, self._right, axis=0, mode="clip", out=self._buffer(b, 1))
+        prod = left if left.dtype == np.result_type(left, right) else right
+        np.multiply(left, right, out=prod)
+        return np.add.reduceat(prod, self._starts, axis=0)
+
+    def _buffer(self, x: np.ndarray, side: int) -> np.ndarray:
+        """Scratch for gathering x through one side of the pair table.
+
+        Kept between products, one per (dtype, side), and reallocated
+        when the row count changes: freshly allocated pair gathers (a few
+        hundred KB in a flag scan) go back to the OS after every product,
+        and a pass of a hundred products then pays their page faults each
+        time. The reuse makes a `Truncation` unsafe to share between
+        threads.
+        """
+        shape = (len(self._left), *x.shape[1:])
+        buf = self._scratch.get((x.dtype, side))
+        if buf is None or buf.shape != shape:
+            buf = self._scratch[x.dtype, side] = np.empty(shape, x.dtype)
+        return buf
 
     def series(self, u: np.ndarray, coeffs: list) -> np.ndarray:
         """sum_k coeffs[k] (u - u0)^k by Horner's rule."""

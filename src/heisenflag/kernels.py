@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .jets import Tape, is_slot
-from .symbols import SympySpectrum, flag_symbols, tape_expression
+from .symbols import SympySpectrum
 
 
 def _square_sum(n: int) -> str:
@@ -253,12 +253,6 @@ def parse_tape(text: str, n: int) -> list:
     """Jet tape (`heisenflag.jets.evaluate`) of an inline expression over
     w1..w_{2n} and lam."""
     return _Parser(text, n).parse()
-
-
-def parse_kernel_expression(text: str, n: int):
-    """The inline expression as a symbolic tree over plain symbols
-    w1..w_{2n}, lam; for printing and tests."""
-    return tape_expression(parse_tape(text, n), flag_symbols(n))
 
 
 def make_spectrum(spec: str, n: int = 1, eps: float = 0.5) -> SympySpectrum:

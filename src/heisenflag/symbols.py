@@ -22,14 +22,12 @@ flagged when a shell blows up against the mid-range.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .fields import SampledField
 from .finitediff import partial_cloud
@@ -177,46 +175,6 @@ class CallableSpectrum(Spectrum):
         return np.asarray(self._fun(W, lam))
 
 
-def flag_symbols(n: int, real: bool = False) -> tuple:
-    """Sympy symbols w1..w_{2n}, lam; `real=True` makes |lam|
-    differentiate to sign(lam) rather than through re/im parts."""
-    kw = {"real": True} if real else {}
-    return (*sp.symbols(f"w1:{2 * n + 1}", **kw), sp.Symbol("lam", **kw))
-
-
-def _sympy_number(c) -> sp.Expr:
-    # integers exact in a double stay Integer, so -1*x prints as -x
-    c = complex(c)
-    re, im = (sp.Integer(int(x)) if x.is_integer() and abs(x) < 2 ** 53
-              else sp.Float(x) for x in (c.real, c.imag))
-    return re + sp.I * im if im else re
-
-
-def tape_expression(tape: list, symbols: tuple) -> sp.Expr:
-    """Sympy expression of a jet tape over `symbols` (w1..w_{2n}, lam)."""
-    vals: list = []
-    for op, args, param in tape:
-        xs = [vals[i] for i in args]
-        if op == "var":
-            out = symbols[param]
-        elif op == "const":
-            out = _sympy_number(param)
-        elif op == "add":
-            out = sp.Add(*xs)
-        elif op == "mul":
-            out = sp.Mul(*xs)
-        elif op in ("ipow", "pow"):
-            out = xs[0] ** _sympy_number(param)
-        elif op == "powe":
-            out = xs[0] ** xs[1]
-        elif op == "exp":
-            out = sp.exp(xs[0])
-        else:
-            out = sp.Abs(xs[0])
-        vals.append(out)
-    return vals[-1]
-
-
 class SympySpectrum(Spectrum):
     """Symbol family given by an inline expression in w1..w_{2n} and lam.
 
@@ -226,8 +184,9 @@ class SympySpectrum(Spectrum):
     and order 0 of the same pass is the family's value. |lam|
     differentiates to sign(lam): the delta terms of its higher derivatives
     live on the excluded lam = 0 plane. `derivative(alpha, beta)` returns a
-    cached view onto that evaluator. `expr` and `symbols` are sympy views
-    of the tape, built on first use, for printing and test oracles.
+    cached view onto that evaluator. Despite the name, no computer algebra
+    runs and the package imports none; the test oracles rebuild a symbolic
+    expression from the tape (`tests/oracles.py`).
     """
 
     def __init__(self, text: str, n: int, symmetric: bool = False):
@@ -235,14 +194,6 @@ class SympySpectrum(Spectrum):
         from .kernels import parse_tape     # deferred: kernels imports this module
         self._tape = parse_tape(text, n)
         self._views: dict = {}
-
-    @functools.cached_property
-    def symbols(self) -> tuple:
-        return flag_symbols(self.n, real=True)
-
-    @functools.cached_property
-    def expr(self) -> sp.Expr:
-        return tape_expression(self._tape, self.symbols)
 
     def derivatives(self, indices, W, lam):
         W, lam = self._rows(W, lam)

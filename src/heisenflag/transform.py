@@ -22,6 +22,8 @@ n = 2, N = 16) is never held whole.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fields import LambdaWindow, SampledField
@@ -82,11 +84,17 @@ def l2_norm(f: SampledField) -> float:
 
 # -- group symmetries ---------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _lattice_xy(grid: Grid) -> np.ndarray:
-    """x.y at every horizontal lattice point v = (x, y), shape (Nv,)*2n."""
+    """x.y at every horizontal lattice point v = (x, y), shape (Nv,)*2n.
+
+    Cached per grid and read-only: every caller shares the one array.
+    """
     n = grid.n
     mesh = np.meshgrid(*([grid.axes[0].points()] * (2 * n)), indexing="ij")
-    return sum(mesh[i] * mesh[n + i] for i in range(n))
+    xy = sum(mesh[i] * mesh[n + i] for i in range(n))
+    xy.flags.writeable = False
+    return xy
 
 
 def group_reflect(f: SampledField) -> SampledField:
@@ -135,15 +143,18 @@ def star_involution(f: SampledField) -> SampledField:
 _BLOCK_ELEMENTS = 2 ** 14
 
 
+@lru_cache(maxsize=16)
 def _shift_table(N: int, n: int) -> np.ndarray:
     """Flat x-lattice index of (x - x') mod N per axis, shape (N^n, N^n).
 
     Entry [x', x] is the row-major index of the offset x - x' over n axes
-    of N points, wrapped axis by axis.
+    of N points, wrapped axis by axis. Cached and read-only.
     """
     k = np.indices((N,) * n).reshape(n, -1)  # [axis, flat point]
     diff = (k[:, None, :] - k[:, :, None]) % N  # [axis, x', x]
-    return np.ravel_multi_index(tuple(diff), (N,) * n)
+    table = np.ravel_multi_index(tuple(diff), (N,) * n)
+    table.flags.writeable = False
+    return table
 
 
 def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,

@@ -10,6 +10,7 @@ import sympy as sp
 
 from heisenflag.fields import SampledField
 from heisenflag.grids import Grid
+from heisenflag.kernels import parse_tape
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -122,9 +123,56 @@ def gauss_c_fun_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             * np.exp(-1j * np.pi * x * y) / np.sqrt(2.0))
 
 
+def flag_symbols(n: int, real: bool = False) -> tuple:
+    """Sympy symbols w1..w_{2n}, lam; `real=True` makes |lam|
+    differentiate to sign(lam) rather than through re/im parts."""
+    kw = {"real": True} if real else {}
+    return (*sp.symbols(f"w1:{2 * n + 1}", **kw), sp.Symbol("lam", **kw))
+
+
+def _sympy_number(c) -> sp.Expr:
+    # integers exact in a double stay Integer, so -1*x prints as -x
+    c = complex(c)
+    re, im = (sp.Integer(int(x)) if x.is_integer() and abs(x) < 2 ** 53
+              else sp.Float(x) for x in (c.real, c.imag))
+    return re + sp.I * im if im else re
+
+
+def tape_expression(tape: list, symbols: tuple) -> sp.Expr:
+    """Sympy expression of a jet tape over `symbols` (w1..w_{2n}, lam)."""
+    vals: list = []
+    for op, args, param in tape:
+        xs = [vals[i] for i in args]
+        if op == "var":
+            out = symbols[param]
+        elif op == "const":
+            out = _sympy_number(param)
+        elif op == "add":
+            out = sp.Add(*xs)
+        elif op == "mul":
+            out = sp.Mul(*xs)
+        elif op in ("ipow", "pow"):
+            out = xs[0] ** _sympy_number(param)
+        elif op == "powe":
+            out = xs[0] ** xs[1]
+        elif op == "exp":
+            out = sp.exp(xs[0])
+        else:
+            out = sp.Abs(xs[0])
+        vals.append(out)
+    return vals[-1]
+
+
+def parse_kernel_expression(text: str, n: int) -> sp.Expr:
+    """An inline kernel expression as a sympy tree over plain symbols
+    w1..w_{2n}, lam, read off the tape the package's parser builds."""
+    return tape_expression(parse_tape(text, n), flag_symbols(n))
+
+
 def sympy_derivatives(spec, indices) -> dict:
-    """d_w^alpha d_lam^beta of a `SympySpectrum`'s expression by `sp.diff`,
-    compiled with `lambdify`: {(alpha, beta): f(W, lam) -> (m,) array}.
+    """d_w^alpha d_lam^beta of a `SympySpectrum` by `sp.diff` of the sympy
+    expression of its tape over real symbols, compiled with `lambdify`:
+    {(alpha, beta): f(W, lam) -> (m,) array}.
 
     Each index is differentiated one variable at a time from the next
     lower one. Terms in DiracDelta, which abs leaves on the plane where its
@@ -133,7 +181,8 @@ def sympy_derivatives(spec, indices) -> dict:
     unevaluated Derivative (abs of a possibly complex subexpression), which
     lambdify cannot compile.
     """
-    *w, lam = spec.symbols
+    symbols = flag_symbols(spec.n, real=True)
+    *w, lam = symbols
     exprs = {}
 
     def expr_of(alpha, beta):
@@ -146,7 +195,7 @@ def sympy_derivatives(spec, indices) -> dict:
                 down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                 e = sp.diff(expr_of(down, 0), w[i])
             else:
-                e = spec.expr
+                e = tape_expression(spec._tape, symbols)
             if e.has(sp.Derivative):
                 raise NotImplementedError(f"sympy left {e} unevaluated")
             exprs[key] = e.replace(lambda x: isinstance(x, sp.DiracDelta),
@@ -154,7 +203,7 @@ def sympy_derivatives(spec, indices) -> dict:
         return exprs[key]
 
     def compiled(expr):
-        fn = sp.lambdify(spec.symbols, expr, "numpy")
+        fn = sp.lambdify(symbols, expr, "numpy")
         return lambda W, lam_: np.broadcast_to(
             fn(*W.T, lam_), (len(W),)).astype(complex)
 

@@ -11,6 +11,7 @@ from grammar import expression_trees
 from oracles import symbol_interpolant_literal, sympy_derivatives
 
 from heisenflag.checks import balanced_rates, random_field
+from heisenflag.jets import Truncation
 from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.grids import LineGrid
 from heisenflag.schrodinger import hs_norm, pi_field
@@ -195,6 +196,34 @@ def test_jets_match_sympy_at_rank_two():
                ((0, 0, 3, 0), 0), ((1, 1, 0, 1), 2), ((0, 0, 0, 2), 1)]
     for name in ("riesz", "tempered", "abs-w"):
         assert_jets_match(make_spectrum(name, n=2, eps=0.3), indices, W, lams)
+
+
+def test_truncation_mul_reuses_scratch_without_aliasing():
+    # the order-3 scan's monomial set; a fresh instance, not the cached one
+    tr = Truncation(2, 3, 2)
+    rng = np.random.default_rng(74)
+
+    def jet(rows, dtype=float):
+        x = rng.standard_normal((tr.size, rows))
+        return x + 1j * rng.standard_normal(x.shape) if dtype is complex else x
+
+    cases = [(jet(156), jet(156)), (jet(156), jet(156, complex)),
+             (jet(156, complex), jet(156)), (jet(156), jet(156)),
+             (jet(7, complex), jet(7, complex)), (jet(156), jet(156))]
+    results = []
+    for a, b in cases:
+        got = tr.mul(a, b)
+        want = np.add.reduceat(a[tr._left] * b[tr._right], tr._starts, axis=0)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        results.append((got, want))
+        if len(results) == 1:
+            first = {key: id(buf) for key, buf in tr._scratch.items()}
+    # the next float x float product at the same row count reused them
+    assert {key: id(tr._scratch[key]) for key in first} == first
+    for got, want in results:
+        np.testing.assert_array_equal(got, want)
+        assert not any(np.shares_memory(got, buf) for buf in tr._scratch.values())
 
 
 def tree_indices(n):

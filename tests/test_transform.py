@@ -12,6 +12,8 @@ from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag.grids import group_grid
 from heisenflag.group import GroupPoint, group_inv
 from heisenflag.transform import (
+    _lattice_xy,
+    _shift_table,
     central_frequencies,
     central_slice_energy,
     convolve,
@@ -105,6 +107,10 @@ def test_twisted_fiber_product_matches_direct_sum(grid):
         want = twisted_fiber_direct(fv, gv, lam, grid)
         got = twisted_fiber_product(fv, gv, lam, grid)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # every call on the grid shares one copy of each table
+    for table in (_lattice_xy(grid), _shift_table(grid.axes[0].count, grid.n)):
+        assert not table.flags.writeable
+    assert _lattice_xy(grid) is _lattice_xy(grid)
 
 
 def test_convolve_memory_at_rank_two():
