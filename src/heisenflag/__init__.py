@@ -65,7 +65,6 @@ from .inversion import (
     invert_flag,
     lambda_derivative_check,
     neumann_inverse,
-    uniform_derivative_scan,
     uniform_invertibility_report,
     verify_inverse,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "SIGMA_FLOOR", "FiberInversionError", "GramSpectrum", "InversionResult",
     "ReconstructedSpectrum", "SymmetryError", "derivative_report",
     "gramian_lower_bound", "invert_fiber", "invert_flag",
-    "lambda_derivative_check", "neumann_inverse", "uniform_derivative_scan",
+    "lambda_derivative_check", "neumann_inverse",
     "uniform_invertibility_report", "verify_inverse",
     "BATTERY", "IdentityCheck", "IdentityContext", "default_context",
     "run_identity_battery",

@@ -428,101 +428,96 @@ def verify_inverse(result: InversionResult) -> dict:
     return report
 
 
-def lambda_derivative_check(spec, lam: float, grid: LineGrid,
-                            cond_limit: float = 1e8, h_rel: float = 0.02,
-                            order: int = 1, fiber: "Fiber | None" = None) -> dict:
-    """Derivative structure of the inverse fibers at one central frequency.
+# the central-frequency step of the derivative stencils, relative to |lam|
+H_REL = 0.02
 
-    At order 1 this checks d_lam B = -B (d_lam A) B, with all derivatives
-    taken at fixed table coordinates (the quantization lattice does not
-    move with lam); the formula is constant-free only there, so higher
-    orders report just the scaled derivative |lam|^M ||d^M B|| used by
-    the uniformity scan, plus the sup of the differentiated symbol table.
 
-    `fiber` is the record of the fiber at `lam` when an inversion run
-    already holds it; otherwise that fiber is inverted here.
-    Each stencil node's inverse is exact only up to size * eps * ||A|| ||B||^2,
-    so a derivative norm below that bound times sum |w_o| / h^order (the
-    `rounding_floor`) is noise: the row reports `zero_to_rounding` and no
-    identity ratio. Dilation-invariant families land there at every lam.
+def _inverse_derivatives(spec, fiber: Fiber, m_max: int) -> list:
+    """[B, d_lam B, ..., d_lam^m_max B] at fixed table coordinates.
+
+    The nodes of the widest stencil, `stencil(m_max)`, are quantized once
+    and hold every narrower one's, so A^(j) reads its weights off
+    `stencil(j)`. The Leibniz rule on AB = I gives, from the record's B
+    alone, B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
     """
+    lam, grid = fiber.b.lam, fiber.b.grid
+    h = H_REL * abs(lam)
+    nodes = {o: kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
+             for o in stencil(m_max)[0]}
+    da, db = [None], [fiber.b.matrix]
+    for k in range(1, m_max + 1):
+        off, wts = stencil(k)
+        da.append(sum(w * nodes[o] for o, w in zip(off, wts)) / h ** k)
+        db.append(-db[0] @ sum(math.comb(k, j) * da[j] @ db[k - j]
+                               for j in range(1, k + 1)))
+    return db
+
+
+def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
+    """Rows |lam|^k ||B^(k)|| of one inverted-fiber record, k = 1..m_max.
+
+    `rounding_floor`, size * eps * sigma_max / sigma_min^2 * sum |w_o| / h^k,
+    is ||B||^2 times the rounding noise of A^(k): each quantized node is
+    exact to size * eps * ||A||, summed with weights w_o / h^k. A norm at
+    or below it is noise, and the row reports `zero_to_rounding`;
+    dilation-invariant families land there at every lam.
+    """
+    lam, grid = fiber.b.lam, fiber.b.grid
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
-    if fiber is None:
-        fiber = invert_fiber(kn_quantize(spec.fiber_table(lam, grid)), cond_limit)
-    b0, sigma_min = fiber.b.matrix, fiber.sigma_min
-    sigma_max = sigma_min * fiber.cond
-    h = h_rel * abs(lam)
-    off, wts = stencil(order)
-    a_nodes, b_nodes = [], []
-    for o in off:
-        a = kn_quantize(spec.fiber_table(lam + o * h, grid))
-        a_nodes.append(a.matrix)
-        b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit).b.matrix)
-    scale = h ** order
-    da = sum(w * m for w, m in zip(wts, a_nodes)) / scale
-    db = sum(w * m for w, m in zip(wts, b_nodes)) / scale
-    floor = float(grid.size * np.finfo(float).eps * sigma_max / sigma_min ** 2
-                  * np.sum(np.abs(wts)) / scale)
-    db_norm = float(np.linalg.norm(db, 2))
-    # reading the table off the differentiated matrix is exact: the
-    # quantization is linear, so d(symbol) = symbol(d(matrix))
-    table = kn_symbol_of(FiberOperator(lam, grid, db))
-    out = {
-        "lam": float(lam),
-        "order": order,
-        "step": h,
-        "derivative_norm": db_norm,
-        "rounding_floor": floor,
-        "zero_to_rounding": db_norm <= floor,
-        "scaled_derivative": abs(lam) ** order * db_norm,
-        "scaled_table_sup": abs(lam) ** order * table.sup_norm(),
-    }
-    if order == 1:
-        rhs = -b0 @ da @ b0
-        num = float(np.linalg.norm(db - rhs, 2))
-        out["identity_residual"] = num
-        if not out["zero_to_rounding"]:
-            out["identity_rel"] = num / max(db_norm, float(np.linalg.norm(rhs, 2)))
-    return out
+    h = H_REL * abs(lam)
+    noise = (grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
+             / fiber.sigma_min ** 2)
+    rows = []
+    for k, db in enumerate(_inverse_derivatives(spec, fiber, m_max)[1:], 1):
+        floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)
+        db_norm = float(np.linalg.norm(db, 2))
+        # exact: the quantization is linear, so d(symbol) = symbol(d(matrix))
+        table = kn_symbol_of(FiberOperator(lam, grid, db))
+        rows.append({"lam": lam, "order": k, "step": h,
+                     "derivative_norm": db_norm, "rounding_floor": floor,
+                     "zero_to_rounding": db_norm <= floor,
+                     "scaled_derivative": abs(lam) ** k * db_norm,
+                     "scaled_table_sup": abs(lam) ** k * table.sup_norm()})
+    return rows
 
 
-def uniform_derivative_scan(spec, lam_values, grid: LineGrid,
-                            cond_limit: float = 1e8, m_max: int = 1,
-                            fibers: "dict | None" = None) -> dict:
-    """Scaled inverse derivatives across fibers, with a uniformity verdict.
+def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
+    """Scaled inverse derivatives across a run's fibers, with a verdict.
 
     Uniformity per order means the largest scaled derivative stays within
     a factor 4 of the median over the lam grid; a family leaving the
     symbol class under inversion shows up as orders of magnitude instead.
     Only rows above their rounding floor are judged (`resolved`); an order
-    whose rows are all zero to rounding is uniform. `fibers` maps lam to
-    the `fiber` argument of `lambda_derivative_check`.
+    whose rows are all zero to rounding is uniform. The `probe` checks the
+    Leibniz rule at the fiber of largest |lam| against the order-1 stencil
+    of its inverted nodes (4 SVDs), with `identity_rel` only when that
+    row is resolved (below the floor it is a ratio of noise to noise).
     """
+    checks = [lambda_derivative_check(result.spec, result.fibers[lam], m_max)
+              for lam in result.lam_values]
     orders = {}
     for order in range(1, m_max + 1):
-        rows = []
-        for lam in lam_values:
-            fiber = fibers.get(float(lam)) if fibers else None
-            rows.append(lambda_derivative_check(spec, lam, grid, cond_limit,
-                                                order=order, fiber=fiber))
+        rows = [check[order - 1] for check in checks]
         scaled = [r["scaled_derivative"] for r in rows if not r["zero_to_rounding"]]
         top = max(scaled, default=0.0)
         med = float(np.median(scaled)) if scaled else 0.0
-        orders[order] = {
-            "rows": rows,
-            "resolved": len(scaled),
-            "max_scaled": top,
-            "median_scaled": med,
-            "uniform": top <= 4.0 * med,
-        }
-    return {
-        "orders": orders,
-        "uniform": all(o["uniform"] for o in orders.values()),
-    }
-
-
-def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
-    """Derivative scan over the fibers an inversion run already covered."""
-    return uniform_derivative_scan(result.spec, result.lam_values, result.grid,
-                                   result.cond_limit, m_max, result.fibers)
+        orders[order] = {"rows": rows, "resolved": len(scaled),
+                         "max_scaled": top, "median_scaled": med,
+                         "uniform": top <= 4.0 * med}
+    lam = max(result.lam_values, key=abs)
+    b, h = result.fibers[lam].b.matrix, H_REL * abs(lam)
+    da = db = 0.0
+    for o, w in zip(*stencil(1)):
+        if o != 0:  # the order-1 stencil weighs its center by zero
+            a = kn_quantize(result.spec.fiber_table(lam + o * h, result.grid))
+            da = da + w / h * a.matrix
+            db = db + w / h * invert_fiber(a, result.cond_limit).b.matrix
+    residual = float(np.linalg.norm(db + b @ da @ b, 2))
+    probe = {"lam": lam, "identity_residual": residual}
+    row = checks[result.lam_values.index(lam)][0]
+    if not row["zero_to_rounding"]:
+        probe["identity_rel"] = residual / max(float(np.linalg.norm(db, 2)),
+                                               row["derivative_norm"])
+    return {"orders": orders, "probe": probe,
+            "uniform": all(o["uniform"] for o in orders.values())}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -305,7 +306,9 @@ class SeminormRow:
 
     @property
     def sup(self) -> float:
-        return max(self.shell_sup)
+        """Largest shell sup; NaN when any shell is not finite."""
+        finite = all(map(math.isfinite, self.shell_sup))
+        return max(self.shell_sup) if finite else math.nan
 
 
 @dataclass
@@ -323,11 +326,12 @@ class SeminormReport:
         return max(pool, key=lambda r: r.sup) if pool else None
 
     def sym0(self) -> dict:
-        """Best-constant table: sup of each (alpha, beta) over all fibers."""
+        """Best-constant table: sup of each (alpha, beta) over all fibers,
+        NaN when any of its rows is NaN."""
         out: dict = {}
         for r in self.rows:
             key = (r.alpha, r.beta)
-            out[key] = max(out.get(key, 0.0), r.sup)
+            out[key] = float(np.maximum(out.get(key, 0.0), r.sup))
         return out
 
     def to_json(self) -> str:

@@ -9,8 +9,11 @@ import numpy as np
 import sympy as sp
 
 from heisenflag.fields import SampledField
+from heisenflag.finitediff import stencil
 from heisenflag.grids import Grid
+from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
+from heisenflag.symbols import kn_quantize
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -208,3 +211,43 @@ def sympy_derivatives(spec, indices) -> dict:
             fn(*W.T, lam_), (len(W),)).astype(complex)
 
     return {(tuple(a), b): compiled(expr_of(tuple(a), b)) for a, b in indices}
+
+
+def node_inverse_derivative(spec, lam: float, grid, order: int = 1,
+                            h_rel: float = 0.02, cond_limit: float = 1e8) -> dict:
+    """d^order B / d lam^order of the inverse fiber as the stencil of the
+    inverses of its nodes, at fixed table coordinates.
+
+    Every node A(lam + o h) is quantized and inverted on its own, so the
+    derivative shares the quantization and the one-SVD inverse with the
+    package but not the Leibniz rule. Returns the matrix `db`, its 2-norm,
+    the rounding floor size * eps * ||A|| ||B||^2 * sum |w_o| / h^order and
+    the `zero_to_rounding` verdict against it. At order 1 it also returns
+    `identity_residual` = ||db + B (d A) B||_2 and, above the floor, the
+    ratio `identity_rel` of that residual to the larger of the two sides.
+    """
+    center = invert_fiber(kn_quantize(spec.fiber_table(lam, grid)), cond_limit)
+    b0, sigma_min = center.b.matrix, center.sigma_min
+    sigma_max = sigma_min * center.cond
+    h = h_rel * abs(lam)
+    off, wts = stencil(order)
+    a_nodes, b_nodes = [], []
+    for o in off:
+        a = kn_quantize(spec.fiber_table(lam + o * h, grid))
+        a_nodes.append(a.matrix)
+        b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit).b.matrix)
+    scale = h ** order
+    da = sum(w * m for w, m in zip(wts, a_nodes)) / scale
+    db = sum(w * m for w, m in zip(wts, b_nodes)) / scale
+    floor = float(grid.size * np.finfo(float).eps * sigma_max / sigma_min ** 2
+                  * np.sum(np.abs(wts)) / scale)
+    db_norm = float(np.linalg.norm(db, 2))
+    out = {"db": db, "derivative_norm": db_norm, "rounding_floor": floor,
+           "zero_to_rounding": db_norm <= floor}
+    if order == 1:
+        rhs = -b0 @ da @ b0
+        num = float(np.linalg.norm(db - rhs, 2))
+        out["identity_residual"] = num
+        if not out["zero_to_rounding"]:
+            out["identity_rel"] = num / max(db_norm, float(np.linalg.norm(rhs, 2)))
+    return out

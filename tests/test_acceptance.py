@@ -10,7 +10,7 @@ import numpy as np
 
 from common import GROUP32, GROUPWIDE, LINE64, LINE128
 from conftest import ACCEPTANCE_LINES
-from oracles import gaussian_transform_1d
+from oracles import gaussian_transform_1d, node_inverse_derivative
 
 from heisenflag.checks import balanced_rates, random_field, random_state
 from heisenflag.cli import ExperimentConfig
@@ -18,11 +18,10 @@ from heisenflag.fields import LambdaWindow
 from heisenflag.grids import LineGrid, centered_dft, group_grid
 from heisenflag.group import GroupPoint, group_mul
 from heisenflag.inversion import (
+    derivative_report,
     gramian_lower_bound,
     invert_flag,
-    lambda_derivative_check,
     neumann_inverse,
-    uniform_derivative_scan,
     uniform_invertibility_report,
     verify_inverse,
 )
@@ -247,9 +246,9 @@ def test_criterion_7_derivative_structure():
     temp = make_spectrum("tempered", eps=0.4)
     identity_rel = 0.0
     for lam in (0.5, -1.0, 2.0):
-        row = lambda_derivative_check(temp, lam, FIBER_GRID)
+        row = node_inverse_derivative(temp, lam, FIBER_GRID)
         identity_rel = max(identity_rel, row["identity_rel"])
-    scan = uniform_derivative_scan(temp, LADDER, FIBER_GRID, m_max=2)
+    scan = derivative_report(invert_flag(temp, LADDER, FIBER_GRID), m_max=2)
     finite = True
     spread = 0.0
     for block in scan["orders"].values():

@@ -240,6 +240,23 @@ def test_estimates_rows_that_are_not_finite_fail(tmp_path, capsys, expr):
     assert len(rows) == 96 and all(r["verdict"] == "non-finite" for r in rows)
 
 
+@pytest.mark.parametrize("expr", ["exp(w1^2) - exp(w2^2)", "sqrt(w1)"])
+def test_non_finite_rows_report_nan_constants(tmp_path, expr):
+    # Python's max skips a NaN after a number and keeps one before it, so
+    # a row with a NaN shell or an index with NaN rows could read finite
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        main(["estimates", "--kernel", f"expr: {expr}", "--out", str(out)])
+    rows = json.loads((out / "flag_report.json").read_text())["rows"]
+    sym0 = json.loads((out / "run.json").read_text())["summary"]["sym0"]
+    for r in rows:
+        assert np.isnan(r["sup"]) == (r["verdict"] == "non-finite")
+    for key, value in sym0.items():
+        hit = [r for r in rows if f"alpha={r['alpha']} beta={r['beta']}" == key]
+        assert hit and np.isnan(value) == any(np.isnan(r["sup"]) for r in hit)
+    assert any(np.isnan(v) for v in sym0.values())
+
+
 def test_config_dyadic_ladder_and_validation():
     cfg = ExperimentConfig(lambda_min=0.25, lambda_max=2.0)
     assert sorted(cfg.lam_values()) == [-2.0, -1.0, -0.5, -0.25,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from common import GROUP32
+from oracles import node_inverse_derivative
 
 from heisenflag.checks import random_field
 from heisenflag.cli import ExperimentConfig
@@ -13,20 +14,21 @@ from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag import inversion
 from heisenflag.grids import LineGrid
 from heisenflag.inversion import (
+    H_REL,
     FiberInversionError,
     GramSpectrum,
     SymmetryError,
+    _inverse_derivatives,
     derivative_report,
     gramian_lower_bound,
     invert_fiber,
     invert_flag,
     lambda_derivative_check,
     neumann_inverse,
-    uniform_derivative_scan,
     uniform_invertibility_report,
     verify_inverse,
 )
-from heisenflag.kernels import make_spectrum
+from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.symbols import (
     fiber_symbol,
     field_of_spectrum,
@@ -242,8 +244,9 @@ def test_verify_inverse_memory_at_rank_two():
 
 def test_fiber_records_serve_every_consumer(monkeypatch):
     # each fiber of the default ladder is inverted once, by invert_flag;
-    # the derivative scan inverts only its stencil nodes, verification
-    # inverts nothing, and the glued family inverts a missing fiber once
+    # the derivative scan inverts only the order-1 stencil nodes of its
+    # probe fiber (the largest |lam|) at any order, verification inverts
+    # nothing, and the glued family inverts a missing fiber once
     cfg = ExperimentConfig()
     res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
     assert len(res.fibers) == 8
@@ -254,9 +257,12 @@ def test_fiber_records_serve_every_consumer(monkeypatch):
         return invert_fiber(*args, **kwargs)
 
     monkeypatch.setattr(inversion, "invert_fiber", counted)
-    derivative_report(res, m_max=1)
-    assert len(calls) == 32 and not set(calls) & set(res.fibers)
-    calls.clear()
+    h = H_REL * 2.0
+    probe_nodes = sorted(2.0 + o * h for o in (-2, -1, 1, 2))
+    for m_max in (1, 2):
+        derivative_report(res, m_max=m_max)
+        assert sorted(calls) == probe_nodes
+        calls.clear()
     verify_inverse(res)
     assert calls == []
     glued = res.spectrum()
@@ -288,7 +294,7 @@ def test_rozklad_identity_moving_fibers():
     # fibers must genuinely move with lambda for a non-vacuous check
     temp = make_spectrum("tempered", eps=0.4)
     for lam in (0.5, -1.0, 2.0):
-        row = lambda_derivative_check(temp, lam, GRID)
+        row = node_inverse_derivative(temp, lam, GRID)
         assert row["derivative_norm"] > 1e-3
         assert row["identity_rel"] < 1e-3
 
@@ -296,7 +302,7 @@ def test_rozklad_identity_moving_fibers():
 def test_rozklad_identity_degenerate_family():
     # scale-invariant fibers: both sides vanish, absolute comparison
     pert = make_spectrum("perturbed-identity", eps=0.3)
-    row = lambda_derivative_check(pert, 1.0, GRID)
+    row = node_inverse_derivative(pert, 1.0, GRID)
     assert row["derivative_norm"] < 1e-8
     assert row["identity_residual"] < 1e-8
     # the stencil sums rounding noise, which stays below the floor and is
@@ -306,9 +312,40 @@ def test_rozklad_identity_degenerate_family():
     assert "identity_rel" not in row
 
 
+@pytest.mark.parametrize("n, count", [(1, 64), (2, 8)])
+def test_leibniz_derivatives_match_node_inverses(n, count):
+    # the Leibniz rule on the record against the stencil of inverted nodes
+    temp = make_spectrum("tempered", n=n, eps=0.4)
+    grid = LineGrid(count, 4.0, n)
+    res = invert_flag(temp, [0.5, -1.0, 2.0], grid)
+    for lam, fiber in res.fibers.items():
+        derived = _inverse_derivatives(temp, fiber, 3)
+        for order in (1, 2, 3):
+            ref = node_inverse_derivative(temp, lam, grid, order)["db"]
+            gap = np.linalg.norm(derived[order] - ref, 2)
+            assert gap <= 1e-5 * np.linalg.norm(ref, 2), (lam, order)
+
+
+@pytest.mark.parametrize("n, count", [(1, 64), (2, 8)])
+def test_zero_to_rounding_matches_node_inverses(n, count):
+    # every catalog kernel inverts on the default ladder (riesz and abs-w
+    # only numerically) and reads the same verdicts through order 3
+    # whichever way the fiber is differentiated
+    cfg = ExperimentConfig(n=n, state_count=count)
+    for name in CATALOG:
+        spec = make_spectrum(name, n=n)
+        res = invert_flag(spec, cfg.lam_values(), cfg.state())
+        for lam, fiber in res.fibers.items():
+            for row in lambda_derivative_check(spec, fiber, 3):
+                ref = node_inverse_derivative(spec, lam, cfg.state(), row["order"])
+                assert row["zero_to_rounding"] == ref["zero_to_rounding"], (
+                    name, lam, row["order"])
+                assert row["rounding_floor"] == ref["rounding_floor"]
+
+
 def test_scaled_derivatives_uniform_to_second_order():
     temp = make_spectrum("tempered", eps=0.4)
-    scan = uniform_derivative_scan(temp, DYADIC, GRID, m_max=2)
+    scan = derivative_report(invert_flag(temp, DYADIC, GRID), m_max=2)
     assert scan["uniform"]
     for order, block in scan["orders"].items():
         assert np.isfinite(block["max_scaled"])
@@ -321,6 +358,11 @@ def test_derivative_report_runs_off_result():
     rep = derivative_report(res, m_max=1)
     assert rep["uniform"]
     assert set(rep["orders"]) == {1}
+    # the probe sits at the largest |lam| and checks the Leibniz rule
+    # against inverted stencil nodes, as the oracle does
+    assert rep["probe"]["lam"] == 1.0
+    assert rep["probe"]["identity_rel"] < 1e-3
+    assert all("identity_rel" not in r for r in rep["orders"][1]["rows"])
 
 
 def test_gramian_lower_bound_on_random_banded_fields():
