@@ -7,11 +7,16 @@ Lists the byte-identical files and the files present on one side only.
 For every other JSON or CSV file it reports, per numeric field, the worst
 gap |new - old| divided by the largest |old| value of the field's row, and
 every non-numeric difference (a changed verdict, string or structure).
+A `.hfc` container (an operator or field written by `heisenflag`) is read
+through `heisenflag.fields.read_blob`: its JSON header is compared like a
+JSON file under `header`, and its whole complex payload is one row,
+`payload`, so the gap is the worst |new - old| over max |old|.
 
 A row is a JSON list of numbers (such as one scan row's `shell_sup`);
 any other number, a CSV cell included, is a row on its own, so its gap
 is relative to itself. Field names replace list positions by `[*]`, so `rows[*].sup`
-collects the gaps of every row's `sup`. Always exits 0 after a complete
+collects the gaps of every row's `sup`. A value that is NaN on one side
+only is an infinite gap. Always exits 0 after a complete
 comparison; the report is the result.
 """
 
@@ -24,6 +29,11 @@ import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from heisenflag.fields import read_blob  # noqa: E402  (the checkout's own package)
 
 MAX_LISTED = 20        # non-numeric differences printed per file
 
@@ -62,7 +72,9 @@ def _record(gaps: dict, path: str, where: str, old: list, new: list) -> None:
     """Fold one row's worst gap into its field's entry of `gaps`."""
     field = re.sub(r"\[\d+\]", "[*]", path)
     scale = max((abs(x) for x in old if math.isfinite(x)), default=0.0) or 1.0
-    worst = max((0.0 if _same(a, b) else abs(b - a) / scale
+    worst = max((0.0 if _same(a, b)
+                 else math.inf if math.isnan(a) or math.isnan(b)  # one side NaN
+                 else abs(b - a) / scale
                  for a, b in zip(old, new)), default=0.0)
     if worst > gaps.get(field, (-1.0, ""))[0]:
         gaps[field] = (worst, where)
@@ -91,6 +103,20 @@ def _compare_csv(old: str, new: str, gaps: dict, other: list) -> None:
                 other.append(f"line {line} {name}: {ca!r} -> {cb!r}")
 
 
+def _compare_blob(old: Path, new: Path, gaps: dict, other: list) -> None:
+    (head_a, a), (head_b, b) = read_blob(old), read_blob(new)
+    _walk_json(head_a, head_b, "header", gaps, other)
+    if a.shape != b.shape:
+        other.append(f"payload: length {a.size} -> {b.size}")
+        return
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    gap = np.where(same, 0.0, np.abs(b - a))
+    gap[np.isnan(gap)] = np.inf          # NaN on one side only
+    finite = np.abs(a[np.isfinite(a)])
+    scale = float(np.max(finite, initial=0.0)) or 1.0
+    gaps["payload"] = (float(np.max(gap, initial=0.0)) / scale, "payload")
+
+
 def compare(old_dir: Path, new_dir: Path) -> str:
     old_files = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
@@ -102,16 +128,18 @@ def compare(old_dir: Path, new_dir: Path) -> str:
         if files:
             out.append(f"only in {side}: " + ", ".join(map(str, sorted(files))))
     for f in sorted((old_files & new_files) - set(same)):
-        if f.suffix not in (".json", ".csv"):
-            out.append(f"{f}: differs (not JSON or CSV)")
+        if f.suffix not in (".json", ".csv", ".hfc"):
+            out.append(f"{f}: differs (not JSON, CSV or .hfc)")
             continue
-        a, b = (old_dir / f).read_text(), (new_dir / f).read_text()
         gaps: dict = {}
         other: list = []
-        if f.suffix == ".json":
-            _walk_json(json.loads(a), json.loads(b), "", gaps, other)
+        a, b = old_dir / f, new_dir / f
+        if f.suffix == ".hfc":
+            _compare_blob(a, b, gaps, other)
+        elif f.suffix == ".json":
+            _walk_json(json.loads(a.read_text()), json.loads(b.read_text()), "", gaps, other)
         else:
-            _compare_csv(a, b, gaps, other)
+            _compare_csv(a.read_text(), b.read_text(), gaps, other)
         moved = {k: v for k, v in gaps.items() if v[0] > 0}
         out.append(f"{f}: {len(gaps) - len(moved)} numeric fields equal"
                    + (", worst gap / row max of the others:" if moved else ""))

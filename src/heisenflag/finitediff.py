@@ -23,6 +23,9 @@ _TARGET_ACCURACY = 4
 def stencil(order: int, half_width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric stencil for the given derivative order at unit spacing.
 
+    The weights are exactly symmetric for even orders and antisymmetric
+    for odd ones, so an odd order weighs the center by 0.0.
+
     Parameters
     ----------
     order : int
@@ -51,7 +54,10 @@ def stencil(order: int, half_width: int | None = None) -> tuple[np.ndarray, np.n
     rows /= np.array([factorial(k) for k in range(len(offsets))])[:, None]
     rhs = np.zeros(len(offsets))
     rhs[order] = 1.0
-    return offsets, np.linalg.solve(rows, rhs)
+    weights = np.linalg.solve(rows, rhs)
+    # the exact weights are (anti)symmetric with the order; the solve's
+    # rounding is not, and would leave residue where the weight is zero
+    return offsets, (weights + (-1) ** order * weights[::-1]) / 2
 
 
 def displacement_cloud(alpha: Sequence[int], spacing: Sequence[float] | float,

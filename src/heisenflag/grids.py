@@ -17,6 +17,7 @@ frequency lattices coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,6 +203,21 @@ def flat_coords(axis_values) -> np.ndarray:
     """
     mesh = np.meshgrid(*axis_values, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+@lru_cache(maxsize=16)
+def offset_table(N: int, n: int) -> np.ndarray:
+    """Flat lattice index of (x - x') mod N per axis, shape (N^n, N^n).
+
+    Entry [x', x] is the row-major index of the offset x - x' over n axes
+    of N points, wrapped axis by axis; read as [d, x] it is the index of
+    x - d. Cached and read-only.
+    """
+    k = np.indices((N,) * n).reshape(n, -1)  # [axis, flat point]
+    diff = (k[:, None, :] - k[:, :, None]) % N  # [axis, x', x]
+    table = np.ravel_multi_index(tuple(diff), (N,) * n)
+    table.flags.writeable = False
+    return table
 
 
 def self_dual_line(count: int, dim: int = 1) -> LineGrid:

@@ -435,19 +435,20 @@ H_REL = 0.02
 def _inverse_derivatives(spec, fiber: Fiber, m_max: int) -> list:
     """[B, d_lam B, ..., d_lam^m_max B] at fixed table coordinates.
 
-    The nodes of the widest stencil, `stencil(m_max)`, are quantized once
-    and hold every narrower one's, so A^(j) reads its weights off
-    `stencil(j)`. The Leibniz rule on AB = I gives, from the record's B
-    alone, B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
+    Each node that carries a nonzero weight for some order <= m_max is
+    quantized once, so A^(j) reads its weights off `stencil(j)`. The
+    Leibniz rule on AB = I gives, from the record's B alone,
+    B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
     """
     lam, grid = fiber.b.lam, fiber.b.grid
     h = H_REL * abs(lam)
+    used = {o for k in range(1, m_max + 1) for o, w in zip(*stencil(k)) if w}
     nodes = {o: kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
-             for o in stencil(m_max)[0]}
+             for o in sorted(used)}
     da, db = [None], [fiber.b.matrix]
     for k in range(1, m_max + 1):
         off, wts = stencil(k)
-        da.append(sum(w * nodes[o] for o, w in zip(off, wts)) / h ** k)
+        da.append(sum(w * nodes[o] for o, w in zip(off, wts) if w) / h ** k)
         db.append(-db[0] @ sum(math.comb(k, j) * da[j] @ db[k - j]
                                for j in range(1, k + 1)))
     return db
@@ -509,7 +510,7 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     b, h = result.fibers[lam].b.matrix, H_REL * abs(lam)
     da = db = 0.0
     for o, w in zip(*stencil(1)):
-        if o != 0:  # the order-1 stencil weighs its center by zero
+        if w:  # the order-1 stencil weighs its center by zero
             a = kn_quantize(result.spec.fiber_table(lam + o * h, result.grid))
             da = da + w / h * a.matrix
             db = db + w / h * invert_fiber(a, result.cond_limit).b.matrix

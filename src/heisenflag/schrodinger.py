@@ -297,10 +297,9 @@ def rank_one(g: StateVector, h: StateVector) -> FiberOperator:
     return FiberOperator(None, g.grid, g.grid.weight * np.outer(h.flat, g.flat))
 
 
-def gramian(field: SampledField, lam: float, grid: LineGrid,
-            route: str = "kernel") -> float:
+def gramian(field: SampledField, lam: float, grid: LineGrid) -> float:
     """|lam|^n ||pi_f^lam||_HS^2, the central Plancherel density."""
-    a = pi_field(field, lam, grid, route=route)
+    a = pi_field(field, lam, grid)
     return abs(lam) ** field.grid.n * hs_norm(a) ** 2
 
 

@@ -10,8 +10,18 @@ and back without loss:
 On the centered lattices the quantization is an exact linear bijection
 between symbol tables and matrices, so composition of operators induces a
 sharp twisted product of symbols and the Frobenius and symbol L2 norms
-coincide identically. The seminorm scans at the bottom quantify membership
-in the flag class: normalized derivatives
+coincide identically. Since Dx Dxi = 1/N and the half-widths cancel in
+xi.(s - x'), the matrix depends on s - x' only through the lattice offset
+
+    Op(a)[s, x'] = c[(s - x') mod N, s],
+    c[d, s] = N^{-n} sum_m a(xi_m, s) e^{2 pi i (m - N/2).d / N},
+
+one inverse FFT over the xi axes read through `grids.offset_table`, the
+table the twisted group convolution gathers with; the symbol of a matrix
+is the reverse gather and a forward FFT.
+
+The seminorm scans at the bottom quantify membership in the flag class:
+normalized derivatives
 
     |d_w^alpha d_lam^beta a| * ||w||^|alpha| * (||w||^2 + |lam|)^beta
 
@@ -32,7 +42,7 @@ import numpy as np
 
 from .fields import SampledField
 from .finitediff import partial_cloud
-from .grids import Grid, LineGrid, flat_coords, flat_phase
+from .grids import Grid, LineGrid, flat_coords, offset_table
 from .jets import evaluate, truncation
 from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
@@ -69,23 +79,30 @@ class SymbolGrid:
 
 
 def kn_quantize(a: SymbolGrid) -> FiberOperator:
-    """Matrix of Op(a) on the state lattice; exact inverse of kn_symbol_of."""
+    """Matrix of Op(a) on the state lattice; exact inverse of kn_symbol_of.
+
+    One inverse FFT over the xi axes gives c[d, s], whose N^{-n} is the
+    weight Dx^n Dxi^n, and Op(a)[s, x'] = c[(s - x') mod N, s].
+    """
     g = a.grid
-    pts, frq = g.flat_points(), g.flat_freqs()
-    left = flat_phase(pts, frq, +1)            # e^{+2 pi i s.xi}, (size, modes)
-    right = flat_phase(frq, pts, -1)           # e^{-2 pi i xi.x'}, (modes, size)
-    mat = g.weight * g.freq_weight * ((left * a.values.T) @ right)
+    xi_axes = tuple(range(g.dim))
+    c = np.fft.ifftn(np.fft.ifftshift(a.values.reshape(g.shape + (g.size,)),
+                                      axes=xi_axes), axes=xi_axes)
+    c = c.reshape(g.size, g.size)
+    offset = offset_table(g.count, g.dim)  # [x', s] -> (s - x') mod N
+    mat = c[offset.T, np.arange(g.size)[:, None]]
     return FiberOperator(a.lam, g, mat)
 
 
 def kn_symbol_of(op: FiberOperator) -> SymbolGrid:
     """Symbol table of a fiber operator; exact inverse of kn_quantize."""
     g = op.grid
-    pts, frq = g.flat_points(), g.flat_freqs()
-    back = flat_phase(frq, pts, +1)            # e^{+2 pi i xi.x'}
-    vals = np.exp(-2j * np.pi * (frq @ pts.T)) * (back @ op.matrix.T)
+    xi_axes = tuple(range(g.dim))
+    offset = offset_table(g.count, g.dim)  # [d, s] -> (s - d) mod N
+    c = op.matrix[np.arange(g.size), offset].reshape(g.shape + (g.size,))
+    vals = np.fft.fftshift(np.fft.fftn(c, axes=xi_axes), axes=xi_axes)
     lam = 0.0 if op.lam is None else op.lam
-    return SymbolGrid(lam, g, vals)
+    return SymbolGrid(lam, g, vals.reshape(g.size, g.size))
 
 
 def unit_symbol(lam: float, grid: LineGrid) -> SymbolGrid:
@@ -201,7 +218,10 @@ class SympySpectrum(Spectrum):
         indices = [(tuple(int(a) for a in alpha), int(beta)) for alpha, beta in indices]
         tr = truncation(2 * self.n, max((sum(a) for a, _ in indices), default=0),
                         max((b for _, b in indices), default=0))
-        jet = evaluate(self._tape, tr, [*W.T, lam])
+        # rows off the family's domain come out NaN or inf, and the scans
+        # report them `non-finite`; numpy need not warn about each one
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            jet = evaluate(self._tape, tr, [*W.T, lam])
         rows = [tr.index[(*alpha, beta)] for alpha, beta in indices]
         return (tr.factorials[rows, None] * jet[rows]).astype(complex)
 

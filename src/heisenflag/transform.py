@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import LambdaWindow, SampledField
-from .grids import Grid, centered_dft, centered_idft
+from .grids import Grid, centered_dft, centered_idft, offset_table
 
 
 def _require_group_layout(f: SampledField) -> None:
@@ -143,20 +143,6 @@ def star_involution(f: SampledField) -> SampledField:
 _BLOCK_ELEMENTS = 2 ** 14
 
 
-@lru_cache(maxsize=16)
-def _shift_table(N: int, n: int) -> np.ndarray:
-    """Flat x-lattice index of (x - x') mod N per axis, shape (N^n, N^n).
-
-    Entry [x', x] is the row-major index of the offset x - x' over n axes
-    of N points, wrapped axis by axis. Cached and read-only.
-    """
-    k = np.indices((N,) * n).reshape(n, -1)  # [axis, flat point]
-    diff = (k[:, None, :] - k[:, :, None]) % N  # [axis, x', x]
-    table = np.ravel_multi_index(tuple(diff), (N,) * n)
-    table.flags.writeable = False
-    return table
-
-
 def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
                           grid: Grid) -> np.ndarray:
     """One central-frequency fiber of the group convolution.
@@ -172,7 +158,7 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
 
     The sum runs over blocks of x' rows, as many as fit in
     _BLOCK_ELEMENTS (x', x, eta) products and at least one. A gather
-    through the shift table forms a block, one batched inverse FFT over
+    through the offset table forms a block, one batched inverse FFT over
     eta takes it to y, and the phase table contracts it over x'.
     """
     n = grid.n
@@ -189,13 +175,13 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
     GY = np.fft.fftn(g_sh, axes=y_axes).reshape(M, M)
     FY = np.fft.fftn(fmod, axes=y_axes).reshape(M, M)
 
-    shift = _shift_table(N, n)
+    offset = offset_table(N, n)
     p_rows = max(1, _BLOCK_ELEMENTS // M ** 2)
     eta_axes = tuple(range(2, n + 2))
     out = np.zeros((M, M), dtype=complex)
     for p0 in range(0, M, p_rows):
         p = slice(p0, p0 + p_rows)
-        prod = GY[shift[p]]  # [x', x, eta]
+        prod = GY[offset[p]]  # [x', x, eta]
         prod *= FY[p, None, :]
         term = np.fft.ifftn(prod.reshape(prod.shape[:2] + (N,) * n),
                             axes=eta_axes).reshape(prod.shape)

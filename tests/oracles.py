@@ -10,10 +10,10 @@ import sympy as sp
 
 from heisenflag.fields import SampledField
 from heisenflag.finitediff import stencil
-from heisenflag.grids import Grid
+from heisenflag.grids import Grid, LineGrid
 from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
-from heisenflag.symbols import kn_quantize
+from heisenflag.symbols import SymbolGrid, kn_quantize
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -93,6 +93,28 @@ def twisted_fiber_direct(fv: np.ndarray, gv: np.ndarray, lam: float,
                            * np.exp(-2j * np.pi * lam * xp_dot_dy)))
     vals = grid.axes[0].spacing ** (2 * n) * np.array(vals)
     return vals.reshape(fv.shape) if outputs is None else vals
+
+
+def kn_quantize_dense(a: SymbolGrid) -> np.ndarray:
+    """Matrix of Op(a) by the phase products of the quantization formula,
+
+        Op(a)[s, x'] = Dx^n Dxi^n sum_xi e^{2 pi i s.xi} a(xi, s) e^{-2 pi i xi.x'},
+
+    in O(size^3) work and four dense size x size phase tables.
+    """
+    g = a.grid
+    pts, frq = g.flat_points(), g.flat_freqs()
+    left = np.exp(2j * np.pi * (pts @ frq.T))     # e^{+2 pi i s.xi}, [s, xi]
+    right = np.exp(-2j * np.pi * (frq @ pts.T))   # e^{-2 pi i xi.x'}, [xi, x']
+    return g.weight * g.freq_weight * ((left * a.values.T) @ right)
+
+
+def kn_symbol_dense(matrix: np.ndarray, grid: LineGrid) -> np.ndarray:
+    """Symbol table a(xi, s) of a fiber matrix by the inverse phase products,
+    a(xi, s) = e^{-2 pi i xi.s} sum_x' e^{2 pi i xi.x'} matrix[s, x']."""
+    pts, frq = grid.flat_points(), grid.flat_freqs()
+    back = np.exp(2j * np.pi * (frq @ pts.T))     # e^{+2 pi i xi.x'}, [xi, x']
+    return np.exp(-2j * np.pi * (frq @ pts.T)) * (back @ matrix.T)
 
 
 def symbol_interpolant_literal(values: np.ndarray, points: np.ndarray,

@@ -2,6 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from heisenflag.grids import LineGrid
+from heisenflag.schrodinger import FiberOperator, save_operator
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
 
 
@@ -38,6 +43,37 @@ def test_gaps_are_relative_to_the_row_max(tmp_path):
     # a CSV cell is its own row
     line = next(r for r in report if r.strip().startswith("sup "))
     assert line.split()[1] == "2.0e-06" and line.endswith("at line 2")
+
+
+def test_a_value_that_turns_nan_is_reported(tmp_path):
+    tool = load_tool()
+    for side, sup in (("old", [1.0, 2.0]), ("new", [float("nan"), 2.0])):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "report.json").write_text(json.dumps({"sup": sup}))
+    report = tool.compare(tmp_path / "old", tmp_path / "new").splitlines()
+    assert report[1] == "report.json: 0 numeric fields equal, worst gap / row max of the others:"
+    line = next(r for r in report if r.strip().startswith("sup[*] "))
+    assert line.split()[1] == "inf"
+
+
+def test_operator_containers_compare_header_and_payload(tmp_path):
+    tool = load_tool()
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    m = np.array([[4.0, 1j], [-2.0, 0.5]])
+    save_operator(FiberOperator(0.5, LineGrid(2, 1.0), m),
+                  tmp_path / "old" / "inverse_fiber_+0.500000.hfc")
+    save_operator(FiberOperator(0.5, LineGrid(2, 1.5), m + 4e-12j),
+                  tmp_path / "new" / "inverse_fiber_+0.500000.hfc")
+    report = tool.compare(tmp_path / "old", tmp_path / "new").splitlines()
+    assert report[0] == "byte-identical (0): "
+    assert report[1] == ("inverse_fiber_+0.500000.hfc: 5 numeric fields equal,"
+                         " worst gap / row max of the others:")
+    # the payload gap is 4e-12 against the largest entry, 4
+    line = next(r for r in report if r.strip().startswith("payload "))
+    assert line.split()[1] == "1.0e-12" and line.endswith("at payload")
+    line = next(r for r in report if "header.grid.half_width" in r)
+    assert line.split()[1] == "5.0e-01"
 
 
 def test_usage_error_exits_2(tmp_path, capsys):

@@ -240,6 +240,17 @@ def test_estimates_rows_that_are_not_finite_fail(tmp_path, capsys, expr):
     assert len(rows) == 96 and all(r["verdict"] == "non-finite" for r in rows)
 
 
+@pytest.mark.parametrize("expr", ["sqrt(w1)", "exp(w1^2) - exp(w2^2)"])
+def test_non_finite_rows_fail_without_numpy_warnings(expr):
+    # the scans report such rows `non-finite`; the jet pass stays quiet
+    proc = run_module("estimates", "--kernel", f"expr: {expr}")
+    assert proc.returncode == EXIT_TOLERANCE
+    assert "RuntimeWarning" not in proc.stderr
+    proc = run_module("invert", "--kernel", f"expr: {expr}")
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("expr", ["exp(w1^2) - exp(w2^2)", "sqrt(w1)"])
 def test_non_finite_rows_report_nan_constants(tmp_path, expr):
     # Python's max skips a NaN after a number and keeps one before it, so

@@ -11,6 +11,15 @@ def test_stencil_first_derivative_classic_weights():
     np.testing.assert_allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12], atol=1e-14)
 
 
+def test_stencil_weights_are_exactly_parity_symmetric():
+    # odd orders weigh the center by exactly zero, not by rounding residue
+    assert stencil(1)[1][2] == 0.0
+    assert stencil(3)[1][3] == 0.0
+    for order in range(1, 7):
+        w = stencil(order)[1]
+        np.testing.assert_array_equal(w, (-1) ** order * w[::-1])
+
+
 def test_stencil_moment_conditions():
     from math import factorial
 

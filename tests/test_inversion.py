@@ -273,6 +273,24 @@ def test_fiber_records_serve_every_consumer(monkeypatch):
     assert calls == [-3.0]
 
 
+def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
+    # stencil(1) weighs its center by zero, so m_max = 1 quantizes its 4
+    # outer nodes; stencil(2) weighs all 5
+    cfg = ExperimentConfig()
+    res = invert_flag(cfg.spectrum(), [1.0], cfg.state())
+    calls = []
+
+    def counted(table):
+        calls.append(table.lam)
+        return kn_quantize(table)
+
+    monkeypatch.setattr(inversion, "kn_quantize", counted)
+    for m_max, offsets in ((1, (-2, -1, 1, 2)), (2, (-2, -1, 0, 1, 2))):
+        lambda_derivative_check(res.spec, res.fibers[1.0], m_max)
+        assert calls == [1.0 + o * H_REL for o in offsets]  # h = H_REL |lam|
+        calls.clear()
+
+
 def test_reconstructed_family_interpolates():
     spec = make_spectrum("perturbed-identity", eps=0.1)
     res = invert_flag(spec, [1.0], GRID)

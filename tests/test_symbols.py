@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from common import GROUPWIDE, LINE64
 from grammar import expression_trees
-from oracles import symbol_interpolant_literal, sympy_derivatives
+from oracles import (
+    kn_quantize_dense,
+    kn_symbol_dense,
+    symbol_interpolant_literal,
+    sympy_derivatives,
+)
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.jets import Truncation
 from heisenflag.kernels import CATALOG, make_spectrum
-from heisenflag.grids import LineGrid
-from heisenflag.schrodinger import hs_norm, pi_field
+from heisenflag.grids import LineGrid, self_dual_line
+from heisenflag.schrodinger import FiberOperator, hs_norm, pi_field
 from heisenflag.symbols import (
     CallableSpectrum,
     SymbolGrid,
@@ -43,11 +48,32 @@ def test_quantize_unit_is_identity():
     assert np.max(np.abs(a.matrix - np.eye(LINE64.size))) < 1e-12
 
 
+# the FFT pair against the dense phase products: on self-dual lattices
+# and on lattices whose frequency spacing differs from the point spacing
+QUANT_GRIDS = [LINE64, LineGrid(64, 6.0), self_dual_line(8, 2), LineGrid(16, 3.0, 2)]
+QUANT_IDS = ["n1-N64-dual", "n1-N64-L6", "n2-N8-dual", "n2-N16-L3"]
+
+
+@pytest.mark.parametrize("grid", QUANT_GRIDS, ids=QUANT_IDS)
+def test_quantize_matches_dense_phase_products(grid):
+    assert grid.is_self_dual() == (grid in (LINE64, self_dual_line(8, 2)))
+    rng = np.random.default_rng(62)
+    a = random_symbol(0.5, grid, rng)
+    want = kn_quantize_dense(a)
+    got = kn_quantize(a).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    m = rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
+    want = kn_symbol_dense(m, grid)
+    got = kn_symbol_of(FiberOperator(0.5, grid, m)).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_quantize_roundtrip_is_exact():
     rng = np.random.default_rng(60)
-    a = random_symbol(0.5, LINE64, rng)
-    back = kn_symbol_of(kn_quantize(a))
-    assert np.max(np.abs(back.values - a.values)) < 1e-10
+    for grid in QUANT_GRIDS:
+        a = random_symbol(0.5, grid, rng)
+        back = kn_symbol_of(kn_quantize(a))
+        assert np.max(np.abs(back.values - a.values)) <= 1e-14 * np.max(np.abs(a.values))
 
 
 def test_hs_norm_equals_symbol_norm():

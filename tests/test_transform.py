@@ -9,11 +9,10 @@ from oracles import direct_convolution, gaussian_transform_1d, twisted_fiber_dir
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
-from heisenflag.grids import group_grid
+from heisenflag.grids import group_grid, offset_table
 from heisenflag.group import GroupPoint, group_inv
 from heisenflag.transform import (
     _lattice_xy,
-    _shift_table,
     central_frequencies,
     central_slice_energy,
     convolve,
@@ -108,7 +107,7 @@ def test_twisted_fiber_product_matches_direct_sum(grid):
         got = twisted_fiber_product(fv, gv, lam, grid)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # every call on the grid shares one copy of each table
-    for table in (_lattice_xy(grid), _shift_table(grid.axes[0].count, grid.n)):
+    for table in (_lattice_xy(grid), offset_table(grid.axes[0].count, grid.n)):
         assert not table.flags.writeable
     assert _lattice_xy(grid) is _lattice_xy(grid)
 
