@@ -79,6 +79,12 @@ class ExperimentConfig:
             if not _is_pow2(getattr(self, name)):
                 raise ConfigError(f"{name} must be a power of two >= 2, "
                                   f"got {getattr(self, name)!r}")
+        # an infinite end has no dyadic ladder and an infinite radius no
+        # shells; json reads 1e400 as inf
+        for name in ("lambda_min", "lambda_max", "rmin", "rmax"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if not (0.0 < self.lambda_min <= self.lambda_max):
             raise ConfigError("lambda band must satisfy 0 < min <= max "
                               f"(got [{self.lambda_min}, {self.lambda_max}]); "

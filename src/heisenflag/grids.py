@@ -119,9 +119,6 @@ class Grid:
             w *= ax.spacing
         return w
 
-    def meshes(self) -> list[np.ndarray]:
-        return np.meshgrid(*[ax.points() for ax in self.axes], indexing="ij")
-
 
 def group_grid(n: int, v_count: int, v_half_width: float,
                t_count: int, t_half_width: float) -> Grid:

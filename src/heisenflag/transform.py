@@ -43,13 +43,15 @@ def _require_side(f: SampledField, side: str) -> None:
 def fourier(f: SampledField) -> SampledField:
     """Forward transform on all axes: position samples -> frequency samples."""
     _require_side(f, "group")
-    vals = centered_dft(f.values, tuple(range(f.grid.ndim))) * f.grid.weight
+    vals = centered_dft(f.values, tuple(range(f.grid.ndim)))
+    vals *= f.grid.weight
     return SampledField(f.grid, vals, (True,) * f.grid.ndim)
 
 
 def inverse_fourier(f: SampledField) -> SampledField:
     _require_side(f, "dual")
-    vals = centered_idft(f.values, tuple(range(f.grid.ndim))) / f.grid.weight
+    vals = centered_idft(f.values, tuple(range(f.grid.ndim)))
+    vals /= f.grid.weight
     return SampledField(f.grid, vals, (False,) * f.grid.ndim)
 
 
@@ -63,7 +65,9 @@ def partial_fourier(f: SampledField, axes) -> SampledField:
             raise ValueError(f"axis {i} already on the frequency side")
         flags[i] = True
         w *= f.grid.axes[i].spacing
-    return SampledField(f.grid, centered_dft(f.values, axes) * w, tuple(flags))
+    vals = centered_dft(f.values, axes)
+    vals *= w
+    return SampledField(f.grid, vals, tuple(flags))
 
 
 def partial_inverse_fourier(f: SampledField, axes) -> SampledField:
@@ -75,7 +79,9 @@ def partial_inverse_fourier(f: SampledField, axes) -> SampledField:
             raise ValueError(f"axis {i} already on the position side")
         flags[i] = False
         w *= f.grid.axes[i].spacing
-    return SampledField(f.grid, centered_idft(f.values, axes) / w, tuple(flags))
+    vals = centered_idft(f.values, axes)
+    vals /= w
+    return SampledField(f.grid, vals, tuple(flags))
 
 
 def l2_norm(f: SampledField) -> float:
@@ -127,7 +133,8 @@ def group_reflect(f: SampledField) -> SampledField:
 def star_involution(f: SampledField) -> SampledField:
     """f*(h) = conj(f(h^{-1}))."""
     r = group_reflect(f)
-    return r.with_values(np.conj(r.values))
+    np.conjugate(r.values, out=r.values)  # r owns its values
+    return r
 
 
 # -- convolution --------------------------------------------------------------
@@ -201,14 +208,14 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     t_ax = 2 * grid.n
     F = partial_fourier(f, t_ax)
     G = partial_fourier(g, t_ax)
-    lam_vals = grid.t_axis.freqs()
-    out = np.empty_like(F.values)
-    for m, lam in enumerate(lam_vals):
-        out[..., m] = twisted_fiber_product(
-            F.values[..., m], G.values[..., m], float(lam), grid
-        )
-    H = SampledField(grid, out, F.transformed)
-    return partial_inverse_fourier(H, t_ax)
+    # fiber m of the product overwrites fiber m of F, which
+    # twisted_fiber_product has read by the time it returns
+    fv, gv = F.values, G.values
+    for m, lam in enumerate(grid.t_axis.freqs()):
+        fv[..., m] = twisted_fiber_product(fv[..., m], gv[..., m],
+                                           float(lam), grid)
+    del G, gv
+    return partial_inverse_fourier(F, t_ax)
 
 
 def lambda_filter(f: SampledField, window: LambdaWindow) -> SampledField:
@@ -253,18 +260,20 @@ def gaussian_field(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
     """Separable Gaussian envelope exp(-pi a_i v_i^2) exp(-pi a_t (t-t0)^2)
     times the central character e^{2 pi i t lam0}.
 
-    v_rate may be a scalar or one rate per horizontal axis.
+    v_rate may be a scalar or one rate per horizontal axis. Each factor
+    is computed on its axis's points and multiplied into the field along
+    that axis, so no full-grid temporary is made.
     """
     n = grid.n
     rates = np.broadcast_to(np.asarray(v_rate, dtype=float), (2 * n,))
-    mesh = grid.meshes()
     vals = np.ones(grid.shape, dtype=complex)
     for i in range(2 * n):
-        vals = vals * np.exp(-np.pi * rates[i] * mesh[i] ** 2)
-    tt = mesh[2 * n]
-    vals = vals * np.exp(-np.pi * t_rate * (tt - t_shift) ** 2)
+        x = grid.axes[i].points().reshape((-1,) + (1,) * (2 * n - i))
+        vals *= np.exp(-np.pi * rates[i] * x ** 2)
+    t = grid.t_axis.points()  # the last axis, so it broadcasts as it is
+    vals *= np.exp(-np.pi * t_rate * (t - t_shift) ** 2)
     if modulation != 0.0:
-        vals = vals * np.exp(2j * np.pi * modulation * tt)
+        vals *= np.exp(2j * np.pi * modulation * t)
     return SampledField(grid, vals)
 
 

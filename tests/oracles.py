@@ -95,6 +95,26 @@ def twisted_fiber_direct(fv: np.ndarray, gv: np.ndarray, lam: float,
     return vals.reshape(fv.shape) if outputs is None else vals
 
 
+def gaussian_field_meshgrid(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
+                            modulation: float = 0.0,
+                            t_shift: float = 0.0) -> np.ndarray:
+    """Values of `transform.gaussian_field` from full coordinate meshes:
+    each factor exp(-pi a_i v_i^2), exp(-pi a_t (t - t0)^2) and
+    e^{2 pi i t lam0} is evaluated on the whole grid and multiplied in,
+    in that order."""
+    n = grid.n
+    rates = np.broadcast_to(np.asarray(v_rate, dtype=float), (2 * n,))
+    mesh = np.meshgrid(*[ax.points() for ax in grid.axes], indexing="ij")
+    vals = np.ones(grid.shape, dtype=complex)
+    for i in range(2 * n):
+        vals = vals * np.exp(-np.pi * rates[i] * mesh[i] ** 2)
+    tt = mesh[2 * n]
+    vals = vals * np.exp(-np.pi * t_rate * (tt - t_shift) ** 2)
+    if modulation != 0.0:
+        vals = vals * np.exp(2j * np.pi * modulation * tt)
+    return vals
+
+
 def kn_quantize_dense(a: SymbolGrid) -> np.ndarray:
     """Matrix of Op(a) by the phase products of the quantization formula,
 

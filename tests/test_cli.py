@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisenflag
@@ -295,6 +295,28 @@ def test_config_value_of_wrong_type_exits_config(tmp_path, capsys, config):
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("args, config", [
+    (("estimates", "--lambda-band", "0.25:inf"), None),
+    (("invert", "--lambda-band", "0.25:inf"), None),
+    (("estimates",), {"lambda_max": 1e400}),
+    (("invert",), {"lambda_max": 1e400}),
+    (("estimates",), {"rmax": 1e400}),
+], ids=["band-estimates", "band-invert", "lambda-max-estimates",
+        "lambda-max-invert", "rmax-estimates"])
+def test_non_finite_band_or_radius_exits_config(tmp_path, args, config):
+    # json reads 1e400 as inf: the ladder had no top rung (OverflowError)
+    # and an infinite radius gave only non-finite scan rows
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        args += ("--config", str(cfgfile))
+    proc = run_module(*args, "--out", str(tmp_path / "run"))
+    assert proc.returncode == EXIT_CONFIG
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_types_accepted():
     # ints stand in for floats; out takes a string or null
     cfg = load_config(None, {"eps": 0, "lambda_max": 4, "out": None})
@@ -313,6 +335,8 @@ JSON_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
                        JSON_VALUES, max_size=6))
+@example({"lambda_max": float("inf")})  # passed validate(), overflowed the ladder
+@example({"rmax": float("inf")})
 def test_load_config_fuzz_validates_or_rejects(tmp_path_factory, data):
     cfgfile = tmp_path_factory.getbasetemp() / "fuzz.json"
     cfgfile.write_text(json.dumps(data))
@@ -321,6 +345,10 @@ def test_load_config_fuzz_validates_or_rejects(tmp_path_factory, data):
     except ConfigError:
         return
     cfg.validate()
+    try:
+        cfg.lam_values()
+    except ConfigError:
+        pass
     for key, value in data.items():
         got = getattr(cfg, key)
         assert got == value or (got != got and value != value)  # nan echo

@@ -70,7 +70,7 @@ def test_field_sides_and_norm():
 
 def test_eval_at_interpolates_grid_points():
     f = gaussian_field(GROUP8, v_rate=1.3, t_rate=0.9, modulation=0.25)
-    mesh = GROUP8.meshes()
+    mesh = np.meshgrid(*[ax.points() for ax in GROUP8.axes], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     got = f.eval_at(pts, policy="wrap")
     assert np.allclose(got, f.values.ravel(), atol=1e-12)

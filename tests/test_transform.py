@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from common import GROUP16, GROUP32, GROUP8
-from oracles import direct_convolution, gaussian_transform_1d, twisted_fiber_direct
+from common import GROUP16, GROUP32, GROUP8, GROUPWIDE
+from oracles import (
+    direct_convolution,
+    gaussian_field_meshgrid,
+    gaussian_transform_1d,
+    twisted_fiber_direct,
+)
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
@@ -81,6 +86,63 @@ def test_gaussian_transform_closed_form():
     gt = gaussian_transform_1d(at, lam - lam0)
     truth = gx[:, None, None] * gx[None, :, None] * gt[None, None, :]
     assert np.max(np.abs(F.values - truth)) < 1e-8
+
+
+@pytest.mark.parametrize("grid", [GROUP8, GROUP32, group_grid(2, 8, 2.0, 8, 4.0)],
+                         ids=["n1-N8", "n1-N32", "n2-N8"])
+def test_gaussian_field_matches_meshgrid_oracle(grid):
+    # the 1-d factors go through the same operations in the same order
+    # as the full-mesh form, so the values agree bit for bit
+    per_axis = np.linspace(0.7, 1.6, 2 * grid.n)
+    for v_rate in (1.0, 1.3, per_axis):
+        for modulation in (0.0, 0.25):
+            kw = dict(v_rate=v_rate, t_rate=0.9, modulation=modulation,
+                      t_shift=0.5)
+            got = gaussian_field(grid, **kw).values
+            assert np.array_equal(got, gaussian_field_meshgrid(grid, **kw))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_group_field_memory_in_field_sizes():
+    # a 64^3 complex field is 4 MiB; full-mesh Gaussians peaked at 4.5
+    # field sizes, and convolve at 5.05 above its inputs with a separate
+    # output array and copies for every transform weight
+    size = 16 * np.prod(GROUPWIDE.shape)
+    av, at = balanced_rates(GROUPWIDE)
+    f, peak = traced_peak(gaussian_field, GROUPWIDE, av, at, 0.5)
+    assert peak <= 1.1 * size
+    g = gaussian_field(GROUPWIDE, 2.0 * av, at)
+    _, peak = traced_peak(convolve, f, g)
+    assert peak <= 3.25 * size
+
+
+def test_operations_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(26)
+    f = random_field(GROUP16, rng, modulation_scale=0.2)
+    g = random_field(GROUP16, rng, modulation_scale=0.2)
+    F = fourier(f)
+    P = partial_fourier(f, 2)
+    keep = [x.values.copy() for x in (f, g, F, P)]
+    fourier(f)
+    inverse_fourier(F)
+    partial_fourier(f, (0, 2))
+    partial_inverse_fourier(P, 2)
+    star_involution(f)
+    h = convolve(f, g)
+    for x, before in zip((f, g, F, P), keep):
+        assert np.array_equal(x.values, before)
+    assert np.array_equal(convolve(f, f).values, convolve(f, f.copy()).values)
+    assert not np.shares_memory(h.values, f.values)
 
 
 def test_convolution_matches_direct_oracle():
