@@ -27,7 +27,7 @@ from .schrodinger import (
     pi_field,
     pi_point,
 )
-from .symbols import fiber_symbol, kn_quantize, kn_symbol_of, twisted_product, unit_symbol
+from .symbols import SymbolGrid, fiber_symbol, kn_quantize, kn_symbol_of, twisted_product
 from .kernels import make_spectrum
 from .transform import (
     central_slice_energy,
@@ -308,34 +308,28 @@ def _chk_gramian_sum(ctx: IdentityContext) -> float:
     return abs(total - l2_norm(f) ** 2) / l2_norm(f) ** 2
 
 
-def _chk_quantize_roundtrip(ctx: IdentityContext) -> float:
+def _random_symbol(ctx: IdentityContext, lam: float) -> SymbolGrid:
+    """Complex noise symbol table; the real part is drawn first."""
+    shape = (ctx.state.size,) * 2
     r = ctx.rng
-    a = unit_symbol(0.5, ctx.state).with_values(
-        r.standard_normal((ctx.state.size,) * 2)
-        + 1j * r.standard_normal((ctx.state.size,) * 2))
+    return SymbolGrid(lam, ctx.state, r.standard_normal(shape) + 1j * r.standard_normal(shape))
+
+
+def _chk_quantize_roundtrip(ctx: IdentityContext) -> float:
+    a = _random_symbol(ctx, 0.5)
     back = kn_symbol_of(kn_quantize(a))
     return float(np.max(np.abs(back.values - a.values))
                  / np.max(np.abs(a.values)))
 
 
 def _chk_hs_symbol_isometry(ctx: IdentityContext) -> float:
-    r = ctx.rng
-    a = unit_symbol(1.0, ctx.state).with_values(
-        r.standard_normal((ctx.state.size,) * 2)
-        + 1j * r.standard_normal((ctx.state.size,) * 2))
+    a = _random_symbol(ctx, 1.0)
     want = a.l2_norm()
     return abs(hs_norm(kn_quantize(a)) - want) / want
 
 
 def _chk_twisted_associativity(ctx: IdentityContext) -> float:
-    r = ctx.rng
-
-    def rand_symbol():
-        return unit_symbol(1.0, ctx.state).with_values(
-            r.standard_normal((ctx.state.size,) * 2)
-            + 1j * r.standard_normal((ctx.state.size,) * 2))
-
-    a, b, c = rand_symbol(), rand_symbol(), rand_symbol()
+    a, b, c = (_random_symbol(ctx, 1.0) for _ in range(3))
     lhs = twisted_product(twisted_product(a, b), c)
     rhs = twisted_product(a, twisted_product(b, c))
     return float(np.max(np.abs(lhs.values - rhs.values))

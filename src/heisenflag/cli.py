@@ -363,10 +363,17 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         run = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"corrupt run.json: {exc}") from exc
+    if not isinstance(run, dict):
+        raise ConfigError("run.json must hold a JSON object")
     for key in ("command", "status", "summary"):
         if key not in run:
             raise ConfigError(f"run.json lacks {key!r}")
-    print(f"run: {run['command']} (exit {run['status']})")
+    status = run["status"]
+    if type(status) is not int or status not in (0, 1, 2, 3):
+        raise ConfigError(f"run.json status must be an exit code 0-3, got {status!r}")
+    if not isinstance(run["summary"], dict):
+        raise ConfigError("run.json summary must be a JSON object")
+    print(f"run: {run['command']} (exit {status})")
     rows = []
     for k, v in sorted(run["summary"].items()):
         if isinstance(v, (str, bool, int, float)):
@@ -376,7 +383,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
                    if p.name != "run.json")
     if extra:
         print("artifacts: " + ", ".join(extra))
-    return int(run["status"])
+    return status
 
 
 # -- entry point ----------------------------------------------------------------

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,22 +162,7 @@ class InversionResult:
             "uniformly_invertible": self.uniformly_invertible,
             "uniform_bound": self.uniform_bound,
             "worst_residual": self.worst_residual,
-            "fibers": [
-                {
-                    "lam": r.lam,
-                    "sigma_min": r.sigma_min,
-                    "sigma_max": r.sigma_max,
-                    "cond": r.cond,
-                    "symbol_min": r.symbol_min,
-                    "inverse_op_norm": r.inverse_op_norm,
-                    "inverse_hs_norm": r.inverse_hs_norm,
-                    "residual_right": r.residual_right,
-                    "residual_left": r.residual_left,
-                    "residual_sup": r.residual_sup,
-                    "invertible": r.invertible,
-                }
-                for r in self.rows
-            ],
+            "fibers": [asdict(r) for r in self.rows],
         }
 
     def to_json(self) -> str:

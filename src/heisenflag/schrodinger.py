@@ -12,9 +12,11 @@ leakage of the states involved.
 Compressing a field f against the representation gives the fiber operator
 pi_f^lam = int f(h) pi_h^lam dh. Two independent routes are kept:
 
-* ``route="quadrature"``: the literal weighted sum of pi_h matrices over
-  the group lattice. Accurate while sqrt|lam| L_state stays inside the
-  field's horizontal dual band (the y-sum aliases beyond it).
+* ``route="quadrature"``: the weighted sum of pi_h over the group
+  lattice, computed as the quantization (`symbols.kn_quantize`) of the
+  x-lattice sum of the pi_h symbols, the y- and t-sums folded into the
+  symbol's s-dependence. Accurate while sqrt|lam| L_state stays inside
+  the field's horizontal dual band (the y-sum aliases beyond it).
 * ``route="kernel"``: the integral kernel in closed form,
 
       omega(s, x') = |lam|^{-n/2} (F2^{-1} F3^{-1} f)(sgn(lam)(x'-s)/sqrt|lam|,
@@ -35,6 +37,7 @@ import numpy as np
 from .fields import SampledField, write_blob, read_blob
 from .grids import Axis, Grid, LineGrid, centered_dft, centered_idft, flat_coords, flat_phase
 from .group import GroupPoint
+from .transform import central_slice
 
 
 @dataclass
@@ -135,19 +138,21 @@ def pi_point(h: GroupPoint, lam: float, u: StateVector) -> StateVector:
 
 
 def pi_point_matrix(h: GroupPoint, lam: float, grid: LineGrid) -> FiberOperator:
-    """Dense matrix of pi_h^lam (unitary up to FFT roundoff)."""
+    """Matrix of pi_h^lam, the quantization of the symbol
+
+        e^{2 pi i lam t} e^{2 pi i xi.(sgn(lam) sqrt|lam| x)} e^{2 pi i sqrt|lam| y.s},
+
+    an outer product of a frequency vector and a position vector.
+    """
+    from .symbols import SymbolGrid, kn_quantize  # deferred: symbols imports this module
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("representation parameter lambda must be nonzero")
     root = np.sqrt(abs(lam))
-    pts = grid.flat_points()
-    frq = grid.flat_freqs()
-    W = flat_phase(frq, pts, -1)  # forward kernel, size x size
-    ramp_f = np.exp(2j * np.pi * (frq @ (np.sign(lam) * root * h.x)))
-    shift_m = (W.conj().T * ramp_f[None, :]) @ W / grid.size
-    ramp_y = np.exp(2j * np.pi * root * (pts @ h.y))
-    mat = np.exp(2j * np.pi * lam * h.t) * (ramp_y[:, None] * shift_m)
-    return FiberOperator(lam, grid, mat)
+    shift = _shift_phase(grid, np.sign(lam) * root * h.x).ravel()
+    ramp_y = np.exp(2j * np.pi * root * (grid.flat_points() @ h.y))
+    phase = np.exp(2j * np.pi * lam * h.t)
+    return kn_quantize(SymbolGrid(lam, grid, phase * np.outer(shift, ramp_y)))
 
 
 # -- matrix coefficients ------------------------------------------------------
@@ -173,8 +178,7 @@ def c_fun(f: StateVector, g: StateVector) -> SampledField:
     out = grid.weight * out.reshape(grid.shape + grid.shape)
     cgrid = Grid((Axis(N, grid.half_width),) * (2 * dim))
     # row block = x multi-index, column block = y multi-index
-    perm = out.transpose(tuple(range(dim)) + tuple(range(dim, 2 * dim)))
-    return SampledField(cgrid, perm)
+    return SampledField(cgrid, out)
 
 
 def big_c_fun(f: StateVector, g: StateVector, lam: float, h: GroupPoint) -> complex:
@@ -200,12 +204,8 @@ def _lambda_slice(field: SampledField, lam: float, s_targets: np.ndarray) -> np.
     """
     grid = field.grid
     n = grid.n
-    t = grid.t_axis.points()
-    g1 = grid.t_axis.spacing * np.tensordot(
-        field.values, np.exp(2j * np.pi * t * lam), axes=(2 * n, 0)
-    )
     Nv = grid.axes[0].count
-    g1 = g1.reshape(Nv ** n, Nv ** n)  # rows x, cols y
+    g1 = central_slice(field, lam).reshape(Nv ** n, Nv ** n)  # rows x, cols y
     ys = flat_coords([ax.points() for ax in grid.y_axes])
     Ey = flat_phase(ys, np.sqrt(abs(lam)) * s_targets, +1)
     return grid.axes[0].spacing ** n * (g1 @ Ey)
@@ -231,20 +231,15 @@ def pi_field(field: SampledField, lam: float, grid: LineGrid,
 
 
 def _pi_field_quadrature(field: SampledField, lam: float, grid: LineGrid) -> FiberOperator:
+    """Quantization of vw sum_x g2(x, s) e^{2 pi i xi.(sgn(lam) sqrt|lam| x)},
+    the symbol of the x-lattice sum vw sum_x g2(x, s) pi_(x,0,0)."""
+    from .symbols import SymbolGrid, kn_quantize  # deferred: symbols imports this module
     g2 = _lambda_slice(field, lam, grid.flat_points())  # (Nv^n, size)
-    pts = grid.flat_points()
-    frq = grid.flat_freqs()
-    W = flat_phase(frq, pts, -1)
-    Wb = W.conj().T / grid.size
     xs = flat_coords([ax.points() for ax in field.grid.x_axes])
     root = np.sign(lam) * np.sqrt(abs(lam))
-    mat = np.zeros((grid.size, grid.size), dtype=complex)
-    for k in range(xs.shape[0]):
-        ramp = np.exp(2j * np.pi * (frq @ (root * xs[k])))
-        shift_m = (Wb * ramp[None, :]) @ W
-        mat += g2[k][:, None] * shift_m
     vw = field.grid.axes[0].spacing ** field.grid.n
-    return FiberOperator(lam, grid, vw * mat)
+    a = vw * flat_phase(grid.flat_freqs(), root * xs, +1) @ g2  # [xi, s]
+    return kn_quantize(SymbolGrid(lam, grid, a))
 
 
 def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,

@@ -234,22 +234,26 @@ def central_frequencies(grid: Grid) -> np.ndarray:
     return grid.t_axis.freqs()
 
 
-def central_slice_energy(f: SampledField, lam: float) -> float:
-    """L2 energy of the central-frequency slice at lam.
+def central_slice(f: SampledField, lam: float) -> np.ndarray:
+    """Dt sum_t f(x, y, t) e^{+2 pi i t lam} on the horizontal lattice.
 
-    Computes Dv^{2n} sum_{x,y} |Dt sum_t f(x,y,t) e^{+2 pi i t lam}|^2,
-    the squared slice norm entering the Plancherel-type decomposition of
-    ||f||^2 over central frequencies. The e^{+...} kernel matches the
-    representation's central character; it equals the forward transform
-    evaluated at -lam.
+    The e^{+...} kernel matches the representation's central character;
+    it equals the forward t-transform evaluated at -lam. Shape (Nv,)*2n.
     """
     _require_group_layout(f)
     _require_side(f, "group")
     grid = f.grid
-    t = grid.t_axis.points()
-    phase = np.exp(2j * np.pi * t * float(lam))
-    slice_vals = grid.t_axis.spacing * np.tensordot(f.values, phase, axes=(2 * grid.n, 0))
-    vw = grid.axes[0].spacing ** (2 * grid.n)
+    phase = np.exp(2j * np.pi * grid.t_axis.points() * float(lam))
+    return grid.t_axis.spacing * np.tensordot(f.values, phase, axes=(2 * grid.n, 0))
+
+
+def central_slice_energy(f: SampledField, lam: float) -> float:
+    """L2 energy Dv^{2n} sum_{x,y} |central_slice(f, lam)|^2 of the slice
+    at lam, the squared slice norm entering the Plancherel-type
+    decomposition of ||f||^2 over central frequencies.
+    """
+    slice_vals = central_slice(f, lam)
+    vw = f.grid.axes[0].spacing ** (2 * f.grid.n)
     return float(vw * np.sum(np.abs(slice_vals) ** 2))
 
 

@@ -10,9 +10,11 @@ import sympy as sp
 
 from heisenflag.fields import SampledField
 from heisenflag.finitediff import stencil
-from heisenflag.grids import Grid, LineGrid
+from heisenflag.grids import Grid, LineGrid, flat_coords, flat_phase
+from heisenflag.group import GroupPoint
 from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
+from heisenflag.schrodinger import FiberOperator, _lambda_slice
 from heisenflag.symbols import SymbolGrid, kn_quantize
 
 
@@ -127,6 +129,44 @@ def kn_quantize_dense(a: SymbolGrid) -> np.ndarray:
     left = np.exp(2j * np.pi * (pts @ frq.T))     # e^{+2 pi i s.xi}, [s, xi]
     right = np.exp(-2j * np.pi * (frq @ pts.T))   # e^{-2 pi i xi.x'}, [xi, x']
     return g.weight * g.freq_weight * ((left * a.values.T) @ right)
+
+
+def pi_point_matrix_dense(h: GroupPoint, lam: float, grid: LineGrid) -> FiberOperator:
+    """Matrix of pi_h^lam as W^H diag(shift ramp) W / size times the y-ramp
+    and the central phase, with W the dense size x size forward DFT."""
+    lam = float(lam)
+    if lam == 0.0:
+        raise ValueError("representation parameter lambda must be nonzero")
+    root = np.sqrt(abs(lam))
+    pts = grid.flat_points()
+    frq = grid.flat_freqs()
+    W = flat_phase(frq, pts, -1)  # forward kernel, size x size
+    ramp_f = np.exp(2j * np.pi * (frq @ (np.sign(lam) * root * h.x)))
+    shift_m = (W.conj().T * ramp_f[None, :]) @ W / grid.size
+    ramp_y = np.exp(2j * np.pi * root * (pts @ h.y))
+    mat = np.exp(2j * np.pi * lam * h.t) * (ramp_y[:, None] * shift_m)
+    return FiberOperator(lam, grid, mat)
+
+
+def pi_field_quadrature_dense(field: SampledField, lam: float,
+                              grid: LineGrid) -> FiberOperator:
+    """Quadrature route of `pi_field` as the literal sum over the field's
+    x-lattice of g2(x, s) times the dense shift matrix of sgn(lam) sqrt|lam| x,
+    one size^3 product per lattice point."""
+    g2 = _lambda_slice(field, lam, grid.flat_points())  # (Nv^n, size)
+    pts = grid.flat_points()
+    frq = grid.flat_freqs()
+    W = flat_phase(frq, pts, -1)
+    Wb = W.conj().T / grid.size
+    xs = flat_coords([ax.points() for ax in field.grid.x_axes])
+    root = np.sign(lam) * np.sqrt(abs(lam))
+    mat = np.zeros((grid.size, grid.size), dtype=complex)
+    for k in range(xs.shape[0]):
+        ramp = np.exp(2j * np.pi * (frq @ (root * xs[k])))
+        shift_m = (Wb * ramp[None, :]) @ W
+        mat += g2[k][:, None] * shift_m
+    vw = field.grid.axes[0].spacing ** field.grid.n
+    return FiberOperator(lam, grid, vw * mat)
 
 
 def kn_symbol_dense(matrix: np.ndarray, grid: LineGrid) -> np.ndarray:

@@ -204,6 +204,21 @@ def test_module_entry_point(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("run", [
+    ["command", "status", "summary"],                        # not an object
+    {"command": "invert", "status": None, "summary": {}},
+    {"command": "invert", "status": 7, "summary": {}},       # not an exit code
+    {"command": "invert", "status": True, "summary": {}},
+    {"command": "invert", "status": 0, "summary": []},
+], ids=["root-list", "status-null", "status-7", "status-bool", "summary-list"])
+def test_report_malformed_run_json_exits_config(tmp_path, run):
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    proc = run_module("report", "--out", str(tmp_path))
+    assert proc.returncode == EXIT_CONFIG
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command, expr", [
     ("estimates", "1/0"), ("estimates", "0^-1"),          # non-finite constants
     ("estimates", "w1/0"),

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import GROUP16, GROUP32, GROUPWIDE, LINE64, LINE128
-from oracles import gauss_c_fun_closed_form
+from oracles import gauss_c_fun_closed_form, pi_field_quadrature_dense, pi_point_matrix_dense
 
 from heisenflag.checks import balanced_rates, gauss_state, random_field, random_state
+from heisenflag.fields import SampledField
+from heisenflag.grids import LineGrid, group_grid, self_dual_line
 from heisenflag.group import GroupPoint, group_inv, group_mul
 from heisenflag.schrodinger import (
     FiberOperator,
@@ -54,6 +56,30 @@ def test_pi_point_matrix_consistent_with_action():
         direct = pi_point(h, lam, u)
         via_matrix = pi_point_matrix(h, lam, LINE64).apply(u)
         assert np.max(np.abs(direct.values - via_matrix.values)) < 1e-12
+
+
+# field and state grids for the quantized fiber matrices: n = 1 on a
+# self-dual and a non-self-dual state lattice, n = 2 on a self-dual one
+QUANT_CASES = [(GROUPWIDE, LINE64), (GROUPWIDE, LineGrid(64, 6.0)),
+               (group_grid(2, 8, 4.0, 8, 2.0), self_dual_line(8, 2))]
+QUANT_IDS = ["n1-N64-dual", "n1-N64-L6", "n2-N8-dual"]
+
+
+@pytest.mark.parametrize("fgrid,grid", QUANT_CASES, ids=QUANT_IDS)
+def test_fiber_matrices_match_dense_dft_oracles(fgrid, grid):
+    # a noise field has no x-parity, so the sign of lam shows in both routes
+    rng = np.random.default_rng(71)
+    n = grid.dim
+    f = SampledField(fgrid, rng.standard_normal(fgrid.shape)
+                     + 1j * rng.standard_normal(fgrid.shape))
+    for lam in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
+        h = GroupPoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1))
+        for got, want in ((pi_point_matrix(h, lam, grid), pi_point_matrix_dense(h, lam, grid)),
+                          (pi_field(f, lam, grid, route="quadrature"),
+                           pi_field_quadrature_dense(f, lam, grid))):
+            gap = FiberOperator(lam, grid, got.matrix - want.matrix)
+            assert hs_norm(gap) <= 1e-13 * hs_norm(want)
+            assert got.lam == lam
 
 
 def test_pi_point_rejects_zero_lambda():
