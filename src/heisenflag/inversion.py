@@ -79,10 +79,15 @@ def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
 
     One SVD A = U diag(sigma) V* gives both the diagnostics and the inverse
     B = V diag(1/sigma) U*, whose residual grows like cond * eps (solving
-    the normal equations A*A would square that). `strict` first requires a
-    Hermitian matrix.
+    the normal equations A*A would square that). A matrix with non-finite
+    entries raises `LinAlgError` naming the fiber before LAPACK sees it.
+    `strict` then requires a Hermitian matrix: relative skew at most 1e-10.
     """
     m = a.matrix
+    bad = m.size - np.count_nonzero(np.isfinite(m))
+    if bad:
+        raise np.linalg.LinAlgError(
+            f"fiber at lam={a.lam:g}: {bad} of {m.size} entries are not finite")
     if strict:
         skew = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300)
         if skew > 1e-10:
@@ -211,13 +216,10 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     `sigma_floor`; the condition limit only guards the arithmetic. The two
     gates differ exactly on symbols that vanish somewhere: those stay
     numerically invertible at any lattice size but have no inverse in the
-    symbol class, and the floor is what detects them. `strict` requires a
-    family declared symmetric and Hermitian fibers.
+    symbol class, and the floor is what detects them. `strict` requires
+    every fiber matrix to be Hermitian (relative skew at most 1e-10),
+    measured per fiber before its SVD.
     """
-    if strict and not getattr(spec, "symmetric", False):
-        raise SymmetryError(
-            "strict inversion needs a family declared symmetric; "
-            "this one is not")
     out = InversionResult(grid=grid, cond_limit=cond_limit,
                           sigma_floor=sigma_floor, spec=spec)
     eye = np.eye(grid.size)
@@ -315,7 +317,7 @@ class ReconstructedSpectrum(Spectrum):
 
     def __init__(self, spec: Spectrum, grid: LineGrid, fibers: dict,
                  cond_limit: float = 1e8):
-        super().__init__(grid.dim, symmetric=False)
+        super().__init__(grid.dim)
         self.base = spec
         self.grid = grid
         self.fibers = fibers
@@ -380,7 +382,7 @@ class GramSpectrum(Spectrum):
         n = getattr(base, "n", None)
         if n is None:
             raise ValueError("base family must expose its group rank")
-        super().__init__(n, symmetric=True)
+        super().__init__(n)
         self.base = base
 
     def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
@@ -452,8 +454,11 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
-    noise = (grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
-             / fiber.sigma_min ** 2)
+    # numpy's power: sigma_min^2 past the float range is inf, not an
+    # OverflowError, and the floor of a family scaled by 1e200 is 0
+    with np.errstate(over="ignore"):
+        noise = (grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
+                 / np.float64(fiber.sigma_min) ** 2)
     rows = []
     for k, db in enumerate(_inverse_derivatives(spec, fiber, m_max)[1:], 1):
         floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)

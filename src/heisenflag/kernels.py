@@ -65,7 +65,6 @@ class KernelCatalogEntry:
     flag_ok: bool          # passes the seminorm scan
     invertible: bool       # admits a bounded inverse in the algebra
     uses_eps: bool = False
-    symmetric: bool = False
 
 
 CATALOG: dict[str, KernelCatalogEntry] = {
@@ -73,7 +72,7 @@ CATALOG: dict[str, KernelCatalogEntry] = {
     for e in [
         KernelCatalogEntry(
             "delta", "identity kernel, unit symbol", lambda n, eps: "1",
-            flag_ok=True, invertible=True, symmetric=True),
+            flag_ok=True, invertible=True),
         KernelCatalogEntry(
             "riesz", "parabolic Riesz ratio |w|^2/(|w|^2+|lam|); vanishes on "
             "the flag boundary", _riesz, flag_ok=True, invertible=False),
@@ -266,4 +265,4 @@ def make_spectrum(spec: str, n: int = 1, eps: float = 0.5) -> SympySpectrum:
         raise KernelParseError(f"unknown kernel {spec!r}; catalog: {known}")
     if entry.uses_eps and not (0.0 < abs(eps) < 1.0):
         raise KernelParseError(f"kernel {spec!r} needs 0 < |eps| < 1, got {eps}")
-    return SympySpectrum(entry.text(n, eps), n, symmetric=entry.symmetric)
+    return SympySpectrum(entry.text(n, eps), n)

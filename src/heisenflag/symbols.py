@@ -36,7 +36,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,16 +147,15 @@ class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
     Subclasses implement `_evaluate(W, lam)`. Families with an analytic
-    form also implement `derivatives`, and `derivative` returns one of
-    them as a family; without one both return None and callers fall back
-    to finite differences.
+    form also implement `derivatives`; without it the scans fall back to
+    finite differences. Whether a fiber is Hermitian is a property of its
+    quantized matrix, which strict inversion measures, not of the family.
     """
 
-    def __init__(self, n: int, symmetric: bool = False):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("group rank must be >= 1")
         self.n = n
-        self.symmetric = symmetric
 
     def _rows(self, W, lam) -> tuple:
         W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -175,22 +174,9 @@ class Spectrum:
         """Rows d_w^alpha d_lam^beta a(W, lam), one per (alpha, beta)."""
         return None
 
-    def derivative(self, alpha: Sequence[int], beta: int) -> "Spectrum | None":
-        return None
-
     def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
         """Symbol table of the fiber at lam; table-backed families override it."""
         return fiber_symbol(self, lam, grid)
-
-
-class CallableSpectrum(Spectrum):
-    def __init__(self, n: int, fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 symmetric: bool = False):
-        super().__init__(n, symmetric)
-        self._fun = fun
-
-    def _evaluate(self, W, lam):
-        return np.asarray(self._fun(W, lam))
 
 
 class SympySpectrum(Spectrum):
@@ -207,8 +193,8 @@ class SympySpectrum(Spectrum):
     expression from the tape (`tests/oracles.py`).
     """
 
-    def __init__(self, text: str, n: int, symmetric: bool = False):
-        super().__init__(n, symmetric)
+    def __init__(self, text: str, n: int):
+        super().__init__(n)
         from .kernels import parse_tape     # deferred: kernels imports this module
         self._tape = parse_tape(text, n)
         self._views: dict = {}
@@ -259,20 +245,14 @@ def fiber_axes(lam: float, grid: LineGrid) -> list:
     return [-np.sign(lam) * root * grid.freqs()] * n + [-root * grid.points()] * n
 
 
-def fiber_covariables(lam: float, grid: LineGrid) -> np.ndarray:
-    """Rows w = (-sgn(lam) sqrt|lam| xi_i, -sqrt|lam| s_j) over the table."""
-    return flat_coords(fiber_axes(lam, grid))
-
-
 def fiber_symbol(spec: Spectrum, lam: float, grid: LineGrid) -> SymbolGrid:
     """Sample the family along the parabolic frame of the fiber at lam."""
     if lam == 0.0:
         raise ValueError("fiber symbols need a nonzero central frequency")
     if grid.dim != spec.n:
         raise ValueError(f"state dimension {grid.dim} != group rank {spec.n}")
-    rows = fiber_covariables(lam, grid)
-    vals = spec(rows, -lam).reshape(grid.size, grid.size)
-    return SymbolGrid(lam, grid, vals)
+    vals = spec(flat_coords(fiber_axes(lam, grid)), -lam)
+    return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 
 def fiber_symbol_of_field(field: SampledField, lam: float, grid: LineGrid,

@@ -15,7 +15,7 @@ from heisenflag.group import GroupPoint
 from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
 from heisenflag.schrodinger import FiberOperator, _lambda_slice
-from heisenflag.symbols import SymbolGrid, kn_quantize
+from heisenflag.symbols import Spectrum, SymbolGrid, kn_quantize
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -206,6 +206,18 @@ def gauss_c_fun_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_{g,g}(x, y) for the unit Gaussian g(u) = exp(-pi u^2)."""
     return (np.exp(-np.pi * (x ** 2 + y ** 2) / 2.0)
             * np.exp(-1j * np.pi * x * y) / np.sqrt(2.0))
+
+
+class CallableSpectrum(Spectrum):
+    """A family given by a plain function of (W, lam) and no derivatives,
+    so the seminorm scans take their finite-difference path."""
+
+    def __init__(self, n: int, fun):
+        super().__init__(n)
+        self._fun = fun
+
+    def _evaluate(self, W, lam):
+        return np.asarray(self._fun(W, lam))
 
 
 def flag_symbols(n: int, real: bool = False) -> tuple:

@@ -1,16 +1,20 @@
 """CLI contract: exit codes, artifacts, determinism, config handling."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from grammar import expression_trees
 
 import heisenflag
 from heisenflag.cli import (
@@ -155,6 +159,20 @@ def test_invert_strict_symmetric_rejects(tmp_path):
                  "--strict-symmetric"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kernel, code", [
+    ("delta", EXIT_OK),
+    ("expr: 2", EXIT_OK),                       # every fiber is 2 I
+    ("expr: 1 + 0.5*exp(-lam^2)", EXIT_OK),     # a multiple of I per fiber
+    ("perturbed-identity", EXIT_CONFIG),
+    ("riesz", EXIT_CONFIG),
+])
+def test_strict_mode_measures_each_fiber(capsys, kernel, code):
+    # the fiber matrices decide, not a declaration on the family
+    assert main(["invert", "--kernel", kernel, "--strict-symmetric"]) == code
+    err = capsys.readouterr().err
+    assert ("not Hermitian" in err) == (code == EXIT_CONFIG)
+
+
 def test_report_replays_status(tmp_path, capsys):
     out = tmp_path / "run"
     main(["invert", "--kernel", "riesz", "--out", str(out)])
@@ -281,6 +299,38 @@ def test_non_finite_rows_report_nan_constants(tmp_path, expr):
         hit = [r for r in rows if f"alpha={r['alpha']} beta={r['beta']}" == key]
         assert hit and np.isnan(value) == any(np.isnan(r["sup"]) for r in hit)
     assert any(np.isnan(v) for v in sym0.values())
+
+
+@pytest.mark.parametrize("expr", ["1/(w1)", "1/(lam - 0.25)"])
+def test_non_finite_fiber_exits_numerical_naming_the_fiber(expr):
+    # LAPACK printed `DLASCL ... illegal value` and the message was only
+    # "SVD did not converge"
+    proc = run_module("invert", "--kernel", f"expr: {expr}")
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "lam=" in proc.stderr and "entries are not finite" in proc.stderr
+    for text in ("DLASCL", "did not converge", "Traceback"):
+        assert text not in proc.stdout + proc.stderr
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "small.json"
+    path.write_text(json.dumps({"state_count": 8, "alpha_max": 1}))
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_trees(1), st.sampled_from([
+    ("invert",), ("invert", "--strict-symmetric"), ("estimates",)]))
+@example(("10^200", None), ("invert",))  # sigma_min^2 raised OverflowError
+def test_commands_on_drawn_kernels_exit_by_contract(small_config, tree, command):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):
+        code = main([*command, "--config", small_config,
+                     "--kernel", "expr: " + tree[0]])
+    assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code == EXIT_NUMERICAL:
+        assert "lam=" in out.getvalue() + err.getvalue()
 
 
 def test_config_dyadic_ladder_and_validation():

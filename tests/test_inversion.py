@@ -174,6 +174,15 @@ def test_strict_mode_rejects_and_accepts():
         assert herm < 1e-10 * np.linalg.norm(b.matrix)
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_invertible_field_matches_the_default_run(name):
+    # smallest sigma_min: delta 1.0, riesz 0.134, perturbed-identity 1.066,
+    # tempered 1.015, abs-w 0.186, against the floor 0.25
+    cfg = ExperimentConfig()
+    res = invert_flag(make_spectrum(name), cfg.lam_values(), cfg.state())
+    assert res.uniformly_invertible == CATALOG[name].invertible
+
+
 def test_gram_spectrum_matches_composition():
     pert = make_spectrum("perturbed-identity", eps=0.3)
     a = kn_quantize(fiber_symbol(pert, 0.5, GRID)).matrix

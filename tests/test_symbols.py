@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from common import GROUPWIDE, LINE64
 from grammar import expression_trees
 from oracles import (
+    CallableSpectrum,
     kn_quantize_dense,
     kn_symbol_dense,
     symbol_interpolant_literal,
@@ -21,7 +22,6 @@ from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.grids import LineGrid, self_dual_line
 from heisenflag.schrodinger import FiberOperator, hs_norm, pi_field
 from heisenflag.symbols import (
-    CallableSpectrum,
     SymbolGrid,
     SympySpectrum,
     evaluate_symbol,
