@@ -14,10 +14,11 @@ JSON file under `header`, and its whole complex payload is one row,
 
 A row is a JSON list of numbers (such as one scan row's `shell_sup`);
 any other number, a CSV cell included, is a row on its own, so its gap
-is relative to itself. Field names replace list positions by `[*]`, so `rows[*].sup`
-collects the gaps of every row's `sup`. A value that is NaN on one side
-only is an infinite gap. Always exits 0 after a complete
-comparison; the report is the result.
+is relative to itself. Each moved field also prints `old -> new`, the
+two values at its worst gap. Field names replace list positions by
+`[*]`, so `rows[*].sup` collects the gaps of every row's `sup`. A value
+that is NaN on one side only is an infinite gap. Always exits 0 after a
+complete comparison; the report is the result.
 """
 
 from __future__ import annotations
@@ -72,12 +73,12 @@ def _record(gaps: dict, path: str, where: str, old: list, new: list) -> None:
     """Fold one row's worst gap into its field's entry of `gaps`."""
     field = re.sub(r"\[\d+\]", "[*]", path)
     scale = max((abs(x) for x in old if math.isfinite(x)), default=0.0) or 1.0
-    worst = max((0.0 if _same(a, b)
-                 else math.inf if math.isnan(a) or math.isnan(b)  # one side NaN
-                 else abs(b - a) / scale
-                 for a, b in zip(old, new)), default=0.0)
-    if worst > gaps.get(field, (-1.0, ""))[0]:
-        gaps[field] = (worst, where)
+    worst, a, b = max(((0.0 if _same(a, b)
+                        else math.inf if math.isnan(a) or math.isnan(b)  # one side NaN
+                        else abs(b - a) / scale, a, b)
+                       for a, b in zip(old, new)), key=lambda g: g[0])
+    if worst > gaps.get(field, (-1.0,))[0]:
+        gaps[field] = (worst, where, a, b)
 
 
 def _float(cell: str):
@@ -114,7 +115,9 @@ def _compare_blob(old: Path, new: Path, gaps: dict, other: list) -> None:
     gap[np.isnan(gap)] = np.inf          # NaN on one side only
     finite = np.abs(a[np.isfinite(a)])
     scale = float(np.max(finite, initial=0.0)) or 1.0
-    gaps["payload"] = (float(np.max(gap, initial=0.0)) / scale, "payload")
+    i = int(np.argmax(gap)) if gap.size else 0
+    gaps["payload"] = (float(gap[i]) / scale if gap.size else 0.0, "payload",
+                       *(complex(x[i]) if x.size else 0j for x in (a, b)))
 
 
 def compare(old_dir: Path, new_dir: Path) -> str:
@@ -143,8 +146,8 @@ def compare(old_dir: Path, new_dir: Path) -> str:
         moved = {k: v for k, v in gaps.items() if v[0] > 0}
         out.append(f"{f}: {len(gaps) - len(moved)} numeric fields equal"
                    + (", worst gap / row max of the others:" if moved else ""))
-        for field, (gap, where) in sorted(moved.items()):
-            out.append(f"  {field:<40} {gap:.1e}  at {where}")
+        for field, (gap, where, a, b) in sorted(moved.items()):
+            out.append(f"  {field:<40} {gap:.1e}  {a!r} -> {b!r}  at {where}")
         out += [f"  non-numeric {d}" for d in other[:MAX_LISTED]]
         if len(other) > MAX_LISTED:
             out.append(f"  ... and {len(other) - MAX_LISTED} more non-numeric differences")

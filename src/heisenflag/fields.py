@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Axis, Grid, centered_dft, centered_idft
+from .grids import Axis, Grid, centered_fft_inplace
 
 _MAGIC = b"HFC1"
 
@@ -113,16 +113,17 @@ class SampledField:
 
     def _mode_data(self):
         """Coefficient tensor plus per-axis (modes, kernel sign)."""
-        coeff = self.values
+        coeff = self.values.copy()
         modes, signs = [], []
         for i, ax in enumerate(self.grid.axes):
             if self.transformed[i]:
                 # frequency samples: interpolate with e^{-2 pi i x q}
-                coeff = centered_idft(coeff, i)
+                centered_fft_inplace(coeff, i, inverse=True)
                 modes.append(ax.points())
                 signs.append(-1)
             else:
-                coeff = centered_dft(coeff, i) / ax.count
+                centered_fft_inplace(coeff, i)
+                coeff /= ax.count
                 modes.append(ax.freqs())
                 signs.append(+1)
         return coeff, modes, signs

@@ -7,10 +7,11 @@ N/(4L) and dual-of-dual returns the original axis.
 
 `centered_dft` evaluates the plain sum
 
-    F[m] = sum_k f[k] exp(-2 pi i x_j zeta_m)
+    F[m] = sum_j f[j] exp(-2 pi i x_j zeta_m)
 
-via fftshift/ifftshift around numpy's FFT; quadrature weights are applied
-by the callers. With the self-dual choice (2L)^2 = N the position and
+as numpy's plain FFT between sign flips, on one complex copy of the
+input (`centered_fft_inplace`); quadrature weights are applied by the
+callers. With the self-dual choice (2L)^2 = N the position and
 frequency lattices coincide.
 """
 
@@ -224,20 +225,45 @@ def self_dual_line(count: int, dim: int = 1) -> LineGrid:
 
 # -- centered DFT kernels ---------------------------------------------------
 
+def _negate_alternate(a: np.ndarray, axis: int, start: int) -> None:
+    """Negate a at indices start, start + 2, ... along axis, in place."""
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, None, 2)
+    view = a[tuple(index)]
+    np.negative(view, out=view)
+
+
+def centered_fft_inplace(a: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
+    """centered_dft (or centered_idft) of the complex array a, written into a.
+
+    On an even axis of N points x_j zeta_m = (j - N/2)(m - N/2)/N, so
+
+        e^{-2 pi i x_j zeta_m} = (-1)^j (-1)^m (-1)^{N/2} e^{-2 pi i j m / N}:
+
+    the centered transform is the plain FFT with the input negated at odd
+    j and the output at m + N/2 odd. Negation is exact, so a one-axis
+    transform equals the shift-copy form (circular shifts by N/2 around
+    the FFT) bit for bit, without the two copies. Returns a.
+    """
+    axes = tuple(np.atleast_1d(axes))
+    for ax in axes:
+        if a.shape[ax] % 2:
+            raise ValueError(f"centered transforms need even axes, got {a.shape[ax]}")
+        _negate_alternate(a, ax, 1)
+    (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, out=a)
+    for ax in axes:
+        _negate_alternate(a, ax, 1 - (a.shape[ax] // 2) % 2)
+    return a
+
+
 def centered_dft(values: np.ndarray, axes) -> np.ndarray:
     """sum_j f[j] e^{-2 pi i x_j zeta_m} along the given axes (no weights)."""
-    axes = tuple(np.atleast_1d(axes))
-    out = np.fft.ifftshift(values, axes=axes)
-    out = np.fft.fftn(out, axes=axes)
-    return np.fft.fftshift(out, axes=axes)
+    return centered_fft_inplace(np.array(values, dtype=complex), axes)
 
 
 def centered_idft(values: np.ndarray, axes) -> np.ndarray:
     """Inverse of centered_dft (includes the 1/N normalization)."""
-    axes = tuple(np.atleast_1d(axes))
-    out = np.fft.ifftshift(values, axes=axes)
-    out = np.fft.ifftn(out, axes=axes)
-    return np.fft.fftshift(out, axes=axes)
+    return centered_fft_inplace(np.array(values, dtype=complex), axes, inverse=True)
 
 
 def flat_phase(targets: np.ndarray, modes: np.ndarray, sign: int) -> np.ndarray:

@@ -73,6 +73,14 @@ class Fiber(NamedTuple):
     cond: float
 
 
+def _refuse_non_finite(values: np.ndarray, lam: float) -> None:
+    """Raise `LinAlgError` naming the fiber if any entry is not finite."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise np.linalg.LinAlgError(
+            f"fiber at lam={lam:g}: {bad} of {values.size} entries are not finite")
+
+
 def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
                  strict: bool = False) -> Fiber:
     """Invert one fiber operator; returns Fiber(inverse, sigma_min, cond).
@@ -84,10 +92,7 @@ def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
     `strict` then requires a Hermitian matrix: relative skew at most 1e-10.
     """
     m = a.matrix
-    bad = m.size - np.count_nonzero(np.isfinite(m))
-    if bad:
-        raise np.linalg.LinAlgError(
-            f"fiber at lam={a.lam:g}: {bad} of {m.size} entries are not finite")
+    _refuse_non_finite(m, a.lam)
     if strict:
         skew = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300)
         if skew > 1e-10:
@@ -218,7 +223,8 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     numerically invertible at any lattice size but have no inverse in the
     symbol class, and the floor is what detects them. `strict` requires
     every fiber matrix to be Hermitian (relative skew at most 1e-10),
-    measured per fiber before its SVD.
+    measured per fiber before its SVD. A symbol table with a non-finite
+    entry raises `LinAlgError` naming the fiber before it is quantized.
     """
     out = InversionResult(grid=grid, cond_limit=cond_limit,
                           sigma_floor=sigma_floor, spec=spec)
@@ -226,6 +232,7 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     for lam in lam_values:
         lam = float(lam)
         table = spec.fiber_table(lam, grid)
+        _refuse_non_finite(table.values, lam)
         a = kn_quantize(table)
         fiber = invert_fiber(a, cond_limit, strict)
         b, sigma_min, cond = fiber
@@ -454,11 +461,12 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
-    # numpy's power: sigma_min^2 past the float range is inf, not an
-    # OverflowError, and the floor of a family scaled by 1e200 is 0
-    with np.errstate(over="ignore"):
-        noise = (grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
-                 / np.float64(fiber.sigma_min) ** 2)
+    # sigma_min = mant 2^e: sigma_min^2 leaves the float range for families
+    # scaled by 1e-170 or 1e200, mant^2 does not, and the power of two
+    # divides out exactly, so in range this is the plain quotient bit for bit
+    mant, e = np.frexp(fiber.sigma_min)
+    noise = np.ldexp(grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
+                     / mant ** 2, -2 * e)
     rows = []
     for k, db in enumerate(_inverse_derivatives(spec, fiber, m_max)[1:], 1):
         floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)

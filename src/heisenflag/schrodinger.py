@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SampledField, write_blob, read_blob
-from .grids import Axis, Grid, LineGrid, centered_dft, centered_idft, flat_coords, flat_phase
+from .grids import Axis, Grid, LineGrid, centered_dft, centered_fft_inplace, flat_coords, flat_phase
 from .group import GroupPoint
 from .transform import central_slice
 
@@ -104,8 +104,14 @@ class FiberOperator:
 
 
 def hs_norm(a: FiberOperator) -> float:
-    """Hilbert-Schmidt norm; equals the L2 norm of the integral kernel."""
-    return float(np.linalg.norm(a.matrix))
+    """Hilbert-Schmidt norm; equals the L2 norm of the integral kernel.
+
+    The entries are scaled by 2^-k, 2^k near the largest, so the sum of
+    squares stays in the float range; a power of two scales exactly, and
+    in range the result is the unscaled norm bit for bit.
+    """
+    k = int(np.frexp(np.max(np.abs(a.matrix)))[1])
+    return float(np.ldexp(np.linalg.norm(a.matrix * np.ldexp(1.0, -k)), k))
 
 
 def operator_norm(a: FiberOperator) -> float:
@@ -130,8 +136,9 @@ def pi_point(h: GroupPoint, lam: float, u: StateVector) -> StateVector:
     root = np.sqrt(abs(lam))
     shift = np.sign(lam) * root * h.x
     axes = tuple(range(grid.dim))
-    spec = centered_dft(u.values, axes) * _shift_phase(grid, shift)
-    vals = centered_idft(spec, axes)
+    spec = centered_dft(u.values, axes)
+    spec *= _shift_phase(grid, shift)
+    vals = centered_fft_inplace(spec, axes, inverse=True)
     ramp = np.exp(2j * np.pi * root * (grid.flat_points() @ h.y)).reshape(grid.shape)
     phase = np.exp(2j * np.pi * lam * h.t)
     return u.with_values(phase * ramp * vals)
@@ -276,8 +283,12 @@ def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,
         d = s_flat[None, :, :] - s_flat[:, None, :]
         d = (d + period / 2.0) % period - period / 2.0
         u_signed = np.sign(lam) / root * d  # (size, size, n)
-        phase = np.exp(2j * np.pi * np.einsum("jki,xi->jkx", u_signed, xi))
-        M = fgrid.axes[0].freq_spacing ** n * np.einsum("xj,jkx->jk", spec, phase)
+        # one horizontal mode at a time: the (size, size, Nv^n) phase
+        # cube grows as size^2 Nv^n
+        M = np.zeros((grid.size, grid.size), dtype=complex)
+        for mode, row in zip(xi, spec):
+            M += row[:, None] * np.exp(2j * np.pi * (u_signed @ mode))
+        M *= fgrid.axes[0].freq_spacing ** n
         u = np.abs(u_signed)
     # either way the x-argument must stay on the field footprint
     M[np.any(u > L, axis=2)] = 0.0

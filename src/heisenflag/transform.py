@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import LambdaWindow, SampledField
-from .grids import Grid, centered_dft, centered_idft, offset_table
+from .grids import Grid, centered_dft, centered_fft_inplace, centered_idft, offset_table
 
 
 def _require_group_layout(f: SampledField) -> None:
@@ -106,28 +106,27 @@ def _lattice_xy(grid: Grid) -> np.ndarray:
 def group_reflect(f: SampledField) -> SampledField:
     """f(h) -> f(h^{-1}), exact on the band-limited interpolant.
 
-    The horizontal flips are lattice permutations; the central shear
-    t -> -t + x.y is an off-lattice shift handled spectrally, line by
-    line in (x, y).
+    The horizontal flips are lattice permutations, made by one gather;
+    the central shear t -> -t + x.y is an off-lattice shift handled
+    spectrally, fiber by fiber in lam. On the centered lattice the
+    inverse transform of the spectrum at -lam is the forward transform
+    over N, so the flip lam -> -lam costs no copy.
     """
     _require_group_layout(f)
     _require_side(f, "group")
     grid = f.grid
     n = grid.n
-    vals = f.values
-    for ax in range(2 * n):
-        N = grid.axes[ax].count
-        idx = (N - np.arange(N)) % N
-        vals = np.take(vals, idx, axis=ax)
     t_ax = 2 * n
     Nt = grid.t_axis.count
-    lam = grid.t_axis.freqs()
+    flips = [(ax.count - np.arange(ax.count)) % ax.count for ax in grid.axes[:t_ax]]
+    vals = f.values[np.ix_(*flips, np.arange(Nt))]
     tau = _lattice_xy(grid)  # x.y at output coords
-    spec = centered_dft(vals, t_ax)
-    spec = spec * np.exp(2j * np.pi * tau[..., None] * lam)
-    perm = (Nt - np.arange(Nt)) % Nt  # lambda -> -lambda
-    spec = np.take(spec, perm, axis=t_ax)
-    return f.with_values(centered_idft(spec, t_ax))
+    centered_fft_inplace(vals, t_ax)
+    for m, lam in enumerate(grid.t_axis.freqs()):
+        vals[..., m] *= np.exp(2j * np.pi * tau * lam)
+    centered_fft_inplace(vals, t_ax)
+    vals /= Nt
+    return f.with_values(vals)
 
 
 def star_involution(f: SampledField) -> SampledField:
@@ -197,8 +196,52 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
     return out.reshape(v_shape) * ax0.spacing ** (2 * n)
 
 
+# The t-transform of convolve's second operand is made this many parts
+# at a time (fewer when the t-axis is shorter): part r holds the fibers
+# m = r mod _T_PARTS, so only 1/_T_PARTS of that operand is held on the
+# frequency side at once.
+_T_PARTS = 4
+
+
+def _t_transform_parts(g: np.ndarray, grid: Grid):
+    """Yield (ms, part), Q = min(_T_PARTS, Nt) times: the fibers
+    ms = range(r, Nt, Q) of g's weighted centered t-transform G, with
+    part[..., k] = G[..., ms[k]].
+
+    Decimation in frequency: with P = Nt / Q and j = p P + j', the
+    fibers of residue r are the length-P FFT of the Q-point fold
+    sum_p g[p P + j'] e^{-2 pi i p r / Q}, twiddled by e^{-2 pi i j' r / Nt}.
+    The centering signs (-1)^j (-1)^m (-1)^{Nt/2} and the weight Dt fold
+    into the fold coefficients and the twiddles.
+    """
+    t_ax = grid.t_axis
+    Nt = t_ax.count
+    Q = min(_T_PARTS, Nt)
+    P = Nt // Q
+    folded = g.reshape(g.shape[:-1] + (Q, P))  # [..., p, j'], j = p P + j'
+    quarter_turns = np.array([1, -1j, -1, 1j])  # e^{-2 pi i q / 4}, exact
+    p = np.arange(Q)
+    j = np.arange(P)
+    signs = np.where(j % 2, -1.0, 1.0)  # (-1)^{j'}
+    for r in range(Q):
+        coef = quarter_turns[(4 // Q) * p * r % 4] * (-1.0) ** (p * P)
+        twiddle = (t_ax.spacing * (-1.0) ** (r + Nt // 2)) * signs * np.exp(
+            -2j * np.pi * j * r / Nt)
+        part = np.einsum("...pj,p->...j", folded, coef)
+        part *= twiddle
+        np.fft.fft(part, axis=-1, out=part)
+        yield range(r, Nt, Q), part
+
+
 def convolve(f: SampledField, g: SampledField) -> SampledField:
-    """Group convolution (f * g)(h) = int f(h') g(h'^{-1} h) dh'."""
+    """Group convolution (f * g)(h) = int f(h') g(h'^{-1} h) dh'.
+
+    f's t-transform is made in the array that becomes the output, and
+    each of its fibers is overwritten by the twisted product with g's
+    fiber; g's fibers are transformed a part at a time
+    (`_t_transform_parts`), and the inverse t-transform runs in place.
+    Above its inputs this holds one field and part of another.
+    """
     _require_group_layout(f)
     _require_side(f, "group")
     _require_side(g, "group")
@@ -206,16 +249,17 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
         raise ValueError("operands must share a grid")
     grid = f.grid
     t_ax = 2 * grid.n
-    F = partial_fourier(f, t_ax)
-    G = partial_fourier(g, t_ax)
-    # fiber m of the product overwrites fiber m of F, which
-    # twisted_fiber_product has read by the time it returns
-    fv, gv = F.values, G.values
-    for m, lam in enumerate(grid.t_axis.freqs()):
-        fv[..., m] = twisted_fiber_product(fv[..., m], gv[..., m],
-                                           float(lam), grid)
-    del G, gv
-    return partial_inverse_fourier(F, t_ax)
+    lam = grid.t_axis.freqs()
+    dt = grid.t_axis.spacing
+    out = centered_dft(f.values, t_ax)
+    out *= dt
+    for ms, part in _t_transform_parts(g.values, grid):
+        for k, m in enumerate(ms):
+            out[..., m] = twisted_fiber_product(out[..., m], part[..., k],
+                                                float(lam[m]), grid)
+    centered_fft_inplace(out, t_ax, inverse=True)
+    out /= dt
+    return SampledField(grid, out)
 
 
 def lambda_filter(f: SampledField, window: LambdaWindow) -> SampledField:
@@ -224,9 +268,8 @@ def lambda_filter(f: SampledField, window: LambdaWindow) -> SampledField:
     _require_side(f, "group")
     t_ax = 2 * f.grid.n
     spec = centered_dft(f.values, t_ax)
-    keep = window.contains(f.grid.t_axis.freqs())
-    spec = spec * keep[(None,) * (f.grid.ndim - 1) + (...,)]
-    return f.with_values(centered_idft(spec, t_ax))
+    spec *= window.contains(f.grid.t_axis.freqs())  # t is the last axis
+    return f.with_values(centered_fft_inplace(spec, t_ax, inverse=True))
 
 
 def central_frequencies(grid: Grid) -> np.ndarray:

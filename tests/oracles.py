@@ -26,6 +26,14 @@ def dft_literal(values: np.ndarray) -> np.ndarray:
     return kernel @ values
 
 
+def centered_dft_shifted(values: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
+    """Centered DFT (or its inverse) as ifftshift, numpy's FFT, fftshift."""
+    axes = tuple(np.atleast_1d(axes))
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return np.fft.fftshift(fft(np.fft.ifftshift(values, axes=axes), axes=axes),
+                           axes=axes)
+
+
 def gaussian_transform_1d(rate: float, zeta: np.ndarray) -> np.ndarray:
     """Closed form: exp(-pi a x^2) has transform a^{-1/2} exp(-pi zeta^2 / a)."""
     return np.exp(-np.pi * zeta ** 2 / rate) / np.sqrt(rate)

@@ -45,6 +45,22 @@ def test_gaps_are_relative_to_the_row_max(tmp_path):
     assert line.split()[1] == "2.0e-06" and line.endswith("at line 2")
 
 
+def test_moved_fields_print_old_and_new_values(tmp_path):
+    # a rounding-level error that moved 2.4e-16 -> 6.5e-16 read only as
+    # a relative gap of 1.7e+00
+    tool = load_tool()
+    for side, err, sup in (("old", 2.4e-16, [1.0, 3.0]), ("new", 6.5e-16, [1.0, 2.5])):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "run.json").write_text(
+            json.dumps({"check": {"error": err}, "sup": sup}))
+    report = tool.compare(tmp_path / "old", tmp_path / "new").splitlines()
+    line = next(r for r in report if r.strip().startswith("check.error "))
+    assert line.split()[1:] == ["1.7e+00", "2.4e-16", "->", "6.5e-16", "at", "check.error"]
+    # in a row, the pair at the worst gap
+    line = next(r for r in report if r.strip().startswith("sup[*] "))
+    assert line.split()[1:] == ["1.7e-01", "3.0", "->", "2.5", "at", "sup"]
+
+
 def test_a_value_that_turns_nan_is_reported(tmp_path):
     tool = load_tool()
     for side, sup in (("old", [1.0, 2.0]), ("new", [float("nan"), 2.0])):

@@ -304,12 +304,29 @@ def test_non_finite_rows_report_nan_constants(tmp_path, expr):
 @pytest.mark.parametrize("expr", ["1/(w1)", "1/(lam - 0.25)"])
 def test_non_finite_fiber_exits_numerical_naming_the_fiber(expr):
     # LAPACK printed `DLASCL ... illegal value` and the message was only
-    # "SVD did not converge"
+    # "SVD did not converge"; a table with an infinite entry warned in the
+    # FFT of its quantization first
     proc = run_module("invert", "--kernel", f"expr: {expr}")
     assert proc.returncode == EXIT_NUMERICAL
     assert "lam=" in proc.stderr and "entries are not finite" in proc.stderr
-    for text in ("DLASCL", "did not converge", "Traceback"):
+    for text in ("DLASCL", "did not converge", "Traceback", "RuntimeWarning"):
         assert text not in proc.stdout + proc.stderr
+
+
+def test_tiny_scale_family_reports_finite_norms(tmp_path):
+    # the sum of squares of a 1e170 inverse overflowed to an HS norm of
+    # Infinity, and sigma_min^2 = 1e-340 made the rounding floor Infinity
+    out = tmp_path / "run"
+    proc = run_module("invert", "--kernel", "expr: 10^-170", "--out", str(out))
+    assert proc.returncode == EXIT_NUMERICAL  # sigma_min 1e-170 < floor
+    assert "RuntimeWarning" not in proc.stderr
+    rows = json.loads((out / "inversion.json").read_text())["fibers"]
+    hs = [r["inverse_hs_norm"] for r in rows]
+    assert len(hs) == 8 and np.allclose(hs, 8e170, rtol=1e-12)
+    deriv = json.loads((out / "derivatives.json").read_text())
+    floors = [r["rounding_floor"] for k in deriv["orders"]
+              for r in deriv["orders"][k]["rows"]]
+    assert floors and all(np.isfinite(floors))
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from common import GROUP16, GROUP8
-from oracles import dft_literal, symbol_interpolant_literal
+from oracles import centered_dft_shifted, dft_literal, symbol_interpolant_literal
 
 from heisenflag.fields import LambdaWindow, SampledField, load_field, save_field
 from heisenflag.grids import (
@@ -10,6 +10,7 @@ from heisenflag.grids import (
     Grid,
     LineGrid,
     centered_dft,
+    centered_fft_inplace,
     centered_idft,
     flat_coords,
     self_dual_line,
@@ -46,6 +47,30 @@ def test_centered_dft_matches_literal_sum():
         v = rng.normal(size=N) + 1j * rng.normal(size=N)
         assert np.allclose(centered_dft(v, 0), dft_literal(v), atol=1e-12)
         assert np.allclose(centered_idft(centered_dft(v, 0), 0), v, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 64])
+def test_centered_transforms_match_the_shift_form(N):
+    # N = 2 carries the global sign (-1)^{N/2} = -1; single axes agree
+    # bit for bit, all axes (run one after another) to rounding
+    rng = np.random.default_rng(N)
+    shape = (N, 4, N)
+    real = rng.normal(size=shape)
+    for v in (real, real + 1j * rng.normal(size=shape)):
+        keep = v.copy()
+        for ours, inverse in ((centered_dft, False), (centered_idft, True)):
+            for axes in (0, 1, 2):
+                assert np.array_equal(ours(v, axes),
+                                      centered_dft_shifted(v, axes, inverse))
+            got = ours(v, (0, 1, 2))
+            want = centered_dft_shifted(v, (0, 1, 2), inverse)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(v, keep)
+        a = v.astype(complex)
+        assert centered_fft_inplace(a, 2) is a
+        assert np.array_equal(a, centered_dft_shifted(v, 2))
+    with pytest.raises(ValueError):
+        centered_dft(np.ones(3), 0)
 
 
 def test_group_grid_layout():

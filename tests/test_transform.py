@@ -14,8 +14,9 @@ from oracles import (
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
-from heisenflag.grids import group_grid, offset_table
+from heisenflag.grids import centered_dft, group_grid, offset_table, self_dual_line
 from heisenflag.group import GroupPoint, group_inv
+from heisenflag.schrodinger import pi_field
 from heisenflag.transform import (
     _lattice_xy,
     central_frequencies,
@@ -115,15 +116,33 @@ def traced_peak(fn, *args):
 
 def test_group_field_memory_in_field_sizes():
     # a 64^3 complex field is 4 MiB; full-mesh Gaussians peaked at 4.5
-    # field sizes, and convolve at 5.05 above its inputs with a separate
-    # output array and copies for every transform weight
+    # field sizes. Shift copies made a centered transform 3.0 field sizes
+    # and star_involution 4.0; convolve was 3.05 above its inputs while it
+    # held both operands transformed, and 5.05 before that
     size = 16 * np.prod(GROUPWIDE.shape)
     av, at = balanced_rates(GROUPWIDE)
     f, peak = traced_peak(gaussian_field, GROUPWIDE, av, at, 0.5)
     assert peak <= 1.1 * size
+    fourier(f)  # the first transform of a length fills numpy's FFT plan cache
+    for axes in (2, (0, 1, 2)):
+        _, peak = traced_peak(centered_dft, f.values, axes)
+        assert peak <= 1.1 * size
+    _, peak = traced_peak(star_involution, f)
+    assert peak <= 2.1 * size
     g = gaussian_field(GROUPWIDE, 2.0 * av, at)
     _, peak = traced_peak(convolve, f, g)
-    assert peak <= 3.25 * size
+    assert peak <= 1.75 * size
+
+
+def test_wrap_route_builds_no_phase_cube():
+    # the (size, size, Nv^n) phase cube of the wrap policy was Nv = 64
+    # state matrices; either policy now peaks at about 7
+    state = self_dual_line(64)
+    f = random_field(GROUPWIDE, np.random.default_rng(42))
+    matrix = 16 * state.size ** 2
+    for policy in ("zero", "wrap"):
+        _, peak = traced_peak(pi_field, f, 1.0, state, "kernel", policy)
+        assert peak <= 8 * matrix
 
 
 def test_operations_leave_their_inputs_unchanged():
@@ -146,12 +165,15 @@ def test_operations_leave_their_inputs_unchanged():
 
 
 def test_convolution_matches_direct_oracle():
+    # g's t-transform comes in min(4, t_count) parts of t_count / 4 fibers
     rng = np.random.default_rng(25)
-    f = random_field(GROUP8, rng, modulation_scale=0.2)
-    g = random_field(GROUP8, rng, modulation_scale=0.2)
-    got = convolve(f, g)
-    want = direct_convolution(f, g)
-    assert np.max(np.abs(got.values - want)) < 1e-11
+    for t_count in (8, 4, 2):
+        grid = group_grid(1, 8, 4.0, t_count, 4.0)
+        f = random_field(grid, rng, modulation_scale=0.2)
+        g = random_field(grid, rng, modulation_scale=0.2)
+        got = convolve(f, g)
+        want = direct_convolution(f, g)
+        assert np.max(np.abs(got.values - want)) < 1e-11
 
 
 @pytest.mark.parametrize("grid", [group_grid(1, 8, 4.0, 8, 4.0),
