@@ -434,6 +434,12 @@ def main(argv: "list[str] | None" = None) -> int:
     except (FiberInversionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # numpy names the refused allocation, e.g. "Unable to allocate 512. GiB"
+        detail = f" ({exc})" if str(exc) else ""
+        print("configuration error: the configured grid does not fit in "
+              f"memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         # ConfigError, KernelParseError, SymmetryError and any parameter
         # the library rejects; LinAlgError is a ValueError too, caught above

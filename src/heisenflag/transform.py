@@ -4,8 +4,8 @@ The full transform is the Euclidean one in all 2n + 1 coordinates with
 kernel e^{-2 pi i h . zeta}; quadrature weights make it the trapezoidal
 approximation of the integral, and Plancherel holds exactly on the grid.
 
-Group convolution is computed fiberwise in the central frequency: after a
-partial transform in t,
+Group convolution is computed fiberwise in the central frequency lam: with
+f^lam and g^lam the weighted t-transforms Dt sum_t f e^{-2 pi i t lam},
 
     (f * g)^lam(v) = Dv^{2n} sum_{v'} f^lam(v') g^lam(v - v')
                       e^{-2 pi i lam x'.(y - y')},
@@ -17,7 +17,10 @@ e^{-2 pi i lam x'.y} e^{+2 pi i lam x'.y'}. Each fiber gathers its
 (x', x, eta) products in blocks of at most _BLOCK_ELEMENTS complex
 values, takes each block to y with one batched inverse FFT, and sums it
 over x' against the phase table; the N^{3n}-element product (268 MiB at
-n = 2, N = 16) is never held whole.
+n = 2, N = 16) is never held whole. `convolve` makes every f^lam at once
+with one FFT, in the array that becomes its output, and takes g^lam one
+fiber at a time as `central_slice(g, -lam)`: a pass over g per fiber,
+O(N^{2n} Nt^2) work on the t side, with one fiber of g held at a time.
 """
 
 from __future__ import annotations
@@ -53,35 +56,6 @@ def inverse_fourier(f: SampledField) -> SampledField:
     vals = centered_idft(f.values, tuple(range(f.grid.ndim)))
     vals /= f.grid.weight
     return SampledField(f.grid, vals, (False,) * f.grid.ndim)
-
-
-def partial_fourier(f: SampledField, axes) -> SampledField:
-    """Forward transform on a subset of axes (e.g. just the central one)."""
-    axes = tuple(np.atleast_1d(axes))
-    flags = list(f.transformed)
-    w = 1.0
-    for i in axes:
-        if flags[i]:
-            raise ValueError(f"axis {i} already on the frequency side")
-        flags[i] = True
-        w *= f.grid.axes[i].spacing
-    vals = centered_dft(f.values, axes)
-    vals *= w
-    return SampledField(f.grid, vals, tuple(flags))
-
-
-def partial_inverse_fourier(f: SampledField, axes) -> SampledField:
-    axes = tuple(np.atleast_1d(axes))
-    flags = list(f.transformed)
-    w = 1.0
-    for i in axes:
-        if not flags[i]:
-            raise ValueError(f"axis {i} already on the position side")
-        flags[i] = False
-        w *= f.grid.axes[i].spacing
-    vals = centered_idft(f.values, axes)
-    vals /= w
-    return SampledField(f.grid, vals, tuple(flags))
 
 
 def l2_norm(f: SampledField) -> float:
@@ -196,51 +170,17 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
     return out.reshape(v_shape) * ax0.spacing ** (2 * n)
 
 
-# The t-transform of convolve's second operand is made this many parts
-# at a time (fewer when the t-axis is shorter): part r holds the fibers
-# m = r mod _T_PARTS, so only 1/_T_PARTS of that operand is held on the
-# frequency side at once.
-_T_PARTS = 4
-
-
-def _t_transform_parts(g: np.ndarray, grid: Grid):
-    """Yield (ms, part), Q = min(_T_PARTS, Nt) times: the fibers
-    ms = range(r, Nt, Q) of g's weighted centered t-transform G, with
-    part[..., k] = G[..., ms[k]].
-
-    Decimation in frequency: with P = Nt / Q and j = p P + j', the
-    fibers of residue r are the length-P FFT of the Q-point fold
-    sum_p g[p P + j'] e^{-2 pi i p r / Q}, twiddled by e^{-2 pi i j' r / Nt}.
-    The centering signs (-1)^j (-1)^m (-1)^{Nt/2} and the weight Dt fold
-    into the fold coefficients and the twiddles.
-    """
-    t_ax = grid.t_axis
-    Nt = t_ax.count
-    Q = min(_T_PARTS, Nt)
-    P = Nt // Q
-    folded = g.reshape(g.shape[:-1] + (Q, P))  # [..., p, j'], j = p P + j'
-    quarter_turns = np.array([1, -1j, -1, 1j])  # e^{-2 pi i q / 4}, exact
-    p = np.arange(Q)
-    j = np.arange(P)
-    signs = np.where(j % 2, -1.0, 1.0)  # (-1)^{j'}
-    for r in range(Q):
-        coef = quarter_turns[(4 // Q) * p * r % 4] * (-1.0) ** (p * P)
-        twiddle = (t_ax.spacing * (-1.0) ** (r + Nt // 2)) * signs * np.exp(
-            -2j * np.pi * j * r / Nt)
-        part = np.einsum("...pj,p->...j", folded, coef)
-        part *= twiddle
-        np.fft.fft(part, axis=-1, out=part)
-        yield range(r, Nt, Q), part
-
-
 def convolve(f: SampledField, g: SampledField) -> SampledField:
     """Group convolution (f * g)(h) = int f(h') g(h'^{-1} h) dh'.
 
-    f's t-transform is made in the array that becomes the output, and
-    each of its fibers is overwritten by the twisted product with g's
-    fiber; g's fibers are transformed a part at a time
-    (`_t_transform_parts`), and the inverse t-transform runs in place.
-    Above its inputs this holds one field and part of another.
+    f's weighted t-transform is made in the array that becomes the output,
+    and each of its fibers m is overwritten by the twisted product with
+    g's fiber m, `central_slice(g, -lam_m)`, taken one at a time; the
+    inverse t-transform runs in place. Above its inputs this holds one
+    field and one fiber (about 1.30 field sizes). Each slice is a pass
+    over g, so g's fibers cost O(N^{2n} Nt^2) where an FFT would cost
+    O(N^{2n} Nt log Nt); per fiber that is O(N^{2n} Nt) against the
+    twisted product's O(N^{3n} log N).
     """
     _require_group_layout(f)
     _require_side(f, "group")
@@ -249,14 +189,12 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
         raise ValueError("operands must share a grid")
     grid = f.grid
     t_ax = 2 * grid.n
-    lam = grid.t_axis.freqs()
     dt = grid.t_axis.spacing
     out = centered_dft(f.values, t_ax)
     out *= dt
-    for ms, part in _t_transform_parts(g.values, grid):
-        for k, m in enumerate(ms):
-            out[..., m] = twisted_fiber_product(out[..., m], part[..., k],
-                                                float(lam[m]), grid)
+    for m, lam in enumerate(grid.t_axis.freqs()):
+        out[..., m] = twisted_fiber_product(out[..., m], central_slice(g, -lam),
+                                            float(lam), grid)
     centered_fft_inplace(out, t_ax, inverse=True)
     out /= dt
     return SampledField(grid, out)

@@ -207,6 +207,23 @@ def test_library_value_error_exits_config(tmp_path, capsys):
     assert not (out / "run.json").exists()
 
 
+def test_out_of_memory_exits_config(tmp_path, capsys, monkeypatch):
+    # {"n": 3} makes 262144-point fibers, whose identity matrix alone is
+    # 512 GiB; the allocation is faked here rather than attempted
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB for an array with "
+                          "shape (262144, 262144) and data type float64")
+
+    monkeypatch.setattr("heisenflag.cli.invert_flag", refuse)
+    out = tmp_path / "run"
+    assert main(["invert", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("configuration error: the configured grid does not "
+                          "fit in memory (Unable to allocate 512. GiB")
+    assert not (out / "run.json").exists()
+
+
 def run_module(*args):
     src = Path(heisenflag.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
