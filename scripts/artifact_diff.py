@@ -7,7 +7,7 @@ Lists the byte-identical files and the files present on one side only.
 For every other JSON or CSV file it reports, per numeric field, the worst
 gap |new - old| divided by the largest |old| value of the field's row, and
 every non-numeric difference (a changed verdict, string or structure).
-A `.hfc` container (an operator or field written by `heisenflag`) is read
+A `.hfc` container (an inverse fiber operator written by `invert`) is read
 through `heisenflag.fields.read_blob`: its JSON header is compared like a
 JSON file under `header`, and its whole complex payload is one row,
 `payload`, so the gap is the worst |new - old| over max |old|.

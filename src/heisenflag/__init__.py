@@ -6,9 +6,9 @@ phase-space symbols, together with a fiberwise inversion pipeline and
 verifiers for the defining derivative estimates.
 """
 
-from .group import GroupDims, GroupPoint, dilate, group_inv, group_mul, homogeneous_norm, identity
+from .group import GroupPoint, dilate, group_inv, group_mul, homogeneous_norm, identity
 from .grids import Axis, Grid, LineGrid, group_grid, self_dual_line
-from .fields import LambdaWindow, SampledField, load_field, save_field
+from .fields import LambdaWindow, SampledField
 from .transform import (
     central_frequencies,
     central_slice_energy,
@@ -29,11 +29,8 @@ from .schrodinger import (
     gramian,
     hs_norm,
     load_operator,
-    operator_norm,
     pi_field,
     pi_point,
-    pi_point_matrix,
-    rank_one,
     save_operator,
 )
 from .symbols import (
@@ -47,7 +44,6 @@ from .symbols import (
     flag_estimate_report,
     kn_quantize,
     kn_symbol_of,
-    sym0_seminorms,
     twisted_product,
     unit_symbol,
 )
@@ -55,7 +51,6 @@ from .kernels import CATALOG, KernelParseError, make_spectrum
 from .inversion import (
     SIGMA_FLOOR,
     FiberInversionError,
-    GramSpectrum,
     InversionResult,
     ReconstructedSpectrum,
     SymmetryError,
@@ -72,22 +67,21 @@ from .checks import BATTERY, IdentityCheck, IdentityContext, default_context, ru
 from .cli import ExperimentConfig, main
 
 __all__ = [
-    "GroupDims", "GroupPoint", "dilate", "group_inv", "group_mul",
+    "GroupPoint", "dilate", "group_inv", "group_mul",
     "homogeneous_norm", "identity",
     "Axis", "Grid", "LineGrid", "group_grid", "self_dual_line",
-    "LambdaWindow", "SampledField", "load_field", "save_field",
+    "LambdaWindow", "SampledField",
     "central_frequencies", "central_slice_energy", "convolve", "fourier",
     "gaussian_field", "inverse_fourier", "l2_norm", "lambda_filter",
     "spike_field", "star_involution",
     "FiberOperator", "StateVector", "big_c_fun", "c_fun", "gramian",
-    "hs_norm", "load_operator", "operator_norm", "pi_field", "pi_point",
-    "pi_point_matrix", "rank_one", "save_operator",
+    "hs_norm", "load_operator", "pi_field", "pi_point", "save_operator",
     "SeminormReport", "SeminormRow", "Spectrum", "SymbolGrid",
     "SympySpectrum", "fiber_symbol", "field_of_spectrum",
-    "flag_estimate_report", "kn_quantize", "kn_symbol_of", "sym0_seminorms",
-    "twisted_product", "unit_symbol",
+    "flag_estimate_report", "kn_quantize", "kn_symbol_of", "twisted_product",
+    "unit_symbol",
     "CATALOG", "KernelParseError", "make_spectrum",
-    "SIGMA_FLOOR", "FiberInversionError", "GramSpectrum", "InversionResult",
+    "SIGMA_FLOOR", "FiberInversionError", "InversionResult",
     "ReconstructedSpectrum", "SymmetryError", "derivative_report",
     "gramian_lower_bound", "invert_fiber", "invert_flag",
     "lambda_derivative_check", "neumann_inverse",

@@ -1,10 +1,11 @@
-"""Sampled scalar fields on centered grids, plus their on-disk containers.
+"""Sampled scalar fields on centered grids, and the binary container format.
 
 A SampledField couples a Grid with a complex value tensor and records, per
 axis, whether that axis currently lives on the position or the frequency
 lattice. Full position-side fields are "group side", full frequency-side
-ones "dual side"; partial transforms produce mixed fields and every
-operation keeps the bookkeeping straight.
+ones "dual side". The one mixed field is a symbol table read as a field
+(`symbols.symbol_field`): its xi axes on the frequency side, its s axes on
+the position side.
 
 Band-limited evaluation treats the samples as coefficients of the unique
 trigonometric interpolant. `eval_at` evaluates it at scattered query rows;
@@ -25,6 +26,9 @@ explicit out-of-footprint policy, applied axis by axis by `axis_footprint`:
   [-H, H - d] with d the axis spacing, so a row's value never depends on
   the other rows of its batch (symbol resampling; callers count the
   outside rows with `out_of_footprint` or `axis_footprint`).
+
+`write_blob` and `read_blob` hold the binary container (magic, JSON
+header, raw complex128 payload) that `schrodinger.save_operator` writes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Axis, Grid, centered_fft_inplace
+from .grids import Grid, centered_fft_inplace
 
 _MAGIC = b"HFC1"
 
@@ -208,22 +212,6 @@ class LambdaWindow:
 
 # -- containers ---------------------------------------------------------------
 
-def _field_header(f: SampledField) -> dict:
-    return {
-        "kind": "field",
-        "version": 1,
-        "group_dim": f.grid.group_dim,
-        "axes": [{"count": ax.count, "half_width": ax.half_width} for ax in f.grid.axes],
-        "transformed": list(f.transformed),
-        "shape": list(f.values.shape),
-    }
-
-
-def _grid_from_header(h: dict) -> Grid:
-    axes = tuple(Axis(a["count"], a["half_width"]) for a in h["axes"])
-    return Grid(axes, group_dim=h.get("group_dim"))
-
-
 def write_blob(path, header: dict, payload: np.ndarray) -> None:
     """Binary container: magic, header length, JSON header, raw complex128."""
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -244,37 +232,3 @@ def read_blob(path) -> tuple[dict, np.ndarray]:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<c16").astype(complex)
     return header, payload
-
-
-def save_field(f: SampledField, path, fmt: str | None = None) -> None:
-    """Write a field container; fmt in {"binary", "json"} or by extension."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "binary")
-    if fmt == "binary":
-        write_blob(path, _field_header(f), f.values.ravel())
-    elif fmt == "json":
-        doc = _field_header(f)
-        doc["values_re"] = f.values.real.ravel().tolist()
-        doc["values_im"] = f.values.imag.ravel().tolist()
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def load_field(path, fmt: str | None = None) -> SampledField:
-    fmt = fmt or ("json" if str(path).endswith(".json") else "binary")
-    if fmt == "binary":
-        header, payload = read_blob(path)
-    elif fmt == "json":
-        with open(path) as fh:
-            header = json.load(fh)
-        payload = np.asarray(header["values_re"], dtype=float) + 1j * np.asarray(
-            header["values_im"], dtype=float
-        )
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if header.get("kind") != "field":
-        raise ValueError(f"container holds {header.get('kind')!r}, expected 'field'")
-    grid = _grid_from_header(header)
-    values = payload.reshape(tuple(header["shape"]))
-    return SampledField(grid, values, tuple(header["transformed"]))

@@ -59,9 +59,6 @@ class Axis:
     def freqs(self) -> np.ndarray:
         return (np.arange(self.count) - self.count // 2) * self.freq_spacing
 
-    def dual(self) -> "Axis":
-        return Axis(self.count, self.freq_half_width)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -188,9 +185,6 @@ class LineGrid:
 
     def flat_freqs(self) -> np.ndarray:
         return flat_coords([self.freqs()] * self.dim)
-
-    def is_self_dual(self, tol: float = 1e-12) -> bool:
-        return abs(self.spacing - self.freq_spacing) <= tol
 
 
 def flat_coords(axis_values) -> np.ndarray:

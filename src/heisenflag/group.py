@@ -14,43 +14,9 @@ the central slot by x.y.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GroupDims:
-    """Dimension bookkeeping for H^n.
-
-    Parameters
-    ----------
-    n : int
-        Number of horizontal coordinate pairs; the group has 2n + 1
-        real coordinates.
-    homogeneous_dim : int
-        The homogeneous dimension 2n + 2. Derived; supplied values are
-        validated.
-    """
-
-    n: int
-    homogeneous_dim: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        expected = 2 * self.n + 2
-        if self.homogeneous_dim == -1:
-            object.__setattr__(self, "homogeneous_dim", expected)
-        elif self.homogeneous_dim != expected:
-            raise ValueError(
-                f"homogeneous dimension must be 2n + 2 = {expected}, "
-                f"got {self.homogeneous_dim}"
-            )
-
-    @property
-    def coords(self) -> int:
-        return 2 * self.n + 1
 
 
 def _as_vector(a, n: int | None = None) -> np.ndarray:
@@ -85,12 +51,6 @@ class GroupPoint:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def __mul__(self, other: "GroupPoint") -> "GroupPoint":
-        return group_mul(self, other)
-
-    def inverse(self) -> "GroupPoint":
-        return group_inv(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupPoint):

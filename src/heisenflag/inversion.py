@@ -376,27 +376,6 @@ class ReconstructedSpectrum(Spectrum):
         return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 
-class GramSpectrum(Spectrum):
-    """Hermitian surrogate of a family: each fiber becomes A*A.
-
-    Quantization does not commute with pointwise conjugation, so real
-    symbols generally give non-Hermitian fibers; squaring through the
-    adjoint restores symmetry at the operator level and keeps the fiber
-    invertible exactly when the original one is.
-    """
-
-    def __init__(self, base):
-        n = getattr(base, "n", None)
-        if n is None:
-            raise ValueError("base family must expose its group rank")
-        super().__init__(n)
-        self.base = base
-
-    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
-        a = kn_quantize(self.base.fiber_table(lam, grid))
-        return kn_symbol_of(FiberOperator(lam, grid, a.matrix.conj().T @ a.matrix))
-
-
 def verify_inverse(result: InversionResult) -> dict:
     """Two-sided operator residuals plus the reconstruction round trip.
 

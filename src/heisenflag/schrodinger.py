@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SampledField, write_blob, read_blob
-from .grids import Axis, Grid, LineGrid, centered_dft, centered_fft_inplace, flat_coords, flat_phase
+from .grids import (Axis, Grid, LineGrid, centered_dft, centered_fft_inplace, flat_coords,
+                    flat_phase, offset_table)
 from .group import GroupPoint
 from .transform import central_slice
 
@@ -77,30 +78,13 @@ class FiberOperator:
             raise ValueError(f"matrix shape {m.shape} != ({size}, {size})")
         self.matrix = m
 
-    @property
-    def weight(self) -> float:
-        """Quadrature weight folded into the matrix action."""
-        return self.grid.weight
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Integral kernel omega(s, x') = matrix / weight."""
-        return self.matrix / self.weight
-
     def apply(self, u: StateVector) -> StateVector:
         return u.with_values(self.matrix @ u.flat)
-
-    def adjoint(self) -> "FiberOperator":
-        return FiberOperator(self.lam, self.grid, self.matrix.conj().T)
 
     def __matmul__(self, other: "FiberOperator") -> "FiberOperator":
         if self.grid != other.grid:
             raise ValueError("fiber grids differ")
         return FiberOperator(self.lam, self.grid, self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls, grid: LineGrid, lam: float | None = None) -> "FiberOperator":
-        return cls(lam, grid, np.eye(grid.size, dtype=complex))
 
 
 def hs_norm(a: FiberOperator) -> float:
@@ -112,10 +96,6 @@ def hs_norm(a: FiberOperator) -> float:
     """
     k = int(np.frexp(np.max(np.abs(a.matrix)))[1])
     return float(np.ldexp(np.linalg.norm(a.matrix * np.ldexp(1.0, -k)), k))
-
-
-def operator_norm(a: FiberOperator) -> float:
-    return float(np.linalg.norm(a.matrix, 2))
 
 
 # -- point representations ----------------------------------------------------
@@ -144,45 +124,27 @@ def pi_point(h: GroupPoint, lam: float, u: StateVector) -> StateVector:
     return u.with_values(phase * ramp * vals)
 
 
-def pi_point_matrix(h: GroupPoint, lam: float, grid: LineGrid) -> FiberOperator:
-    """Matrix of pi_h^lam, the quantization of the symbol
-
-        e^{2 pi i lam t} e^{2 pi i xi.(sgn(lam) sqrt|lam| x)} e^{2 pi i sqrt|lam| y.s},
-
-    an outer product of a frequency vector and a position vector.
-    """
-    from .symbols import SymbolGrid, kn_quantize  # deferred: symbols imports this module
-    lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("representation parameter lambda must be nonzero")
-    root = np.sqrt(abs(lam))
-    shift = _shift_phase(grid, np.sign(lam) * root * h.x).ravel()
-    ramp_y = np.exp(2j * np.pi * root * (grid.flat_points() @ h.y))
-    phase = np.exp(2j * np.pi * lam * h.t)
-    return kn_quantize(SymbolGrid(lam, grid, phase * np.outer(shift, ramp_y)))
-
-
 # -- matrix coefficients ------------------------------------------------------
 
 def c_fun(f: StateVector, g: StateVector) -> SampledField:
     """Reduced matrix coefficient c(x, y) = int e^{2 pi i y.u} f(u+x) g(u) du.
 
     Returned on the plain 2n-axis product grid (x-axes then y-axes) of the
-    states' line grid; the u-shift wraps periodically.
+    states' line grid; the u-shift wraps periodically. One gather through
+    the lattice-offset table forms every f(u + x), then one product with
+    the phase table sums over u.
     """
     if f.grid != g.grid:
         raise ValueError("states must share a grid")
     grid = f.grid
     N, dim = grid.count, grid.dim
-    size = grid.size
+    table = offset_table(N, dim)
+    half = np.ravel_multi_index((N // 2,) * dim, grid.shape)  # the origin
+    # table[:, half] holds the index of -x; row -x of the table holds u + x
+    shifted = f.flat[table[table[:, half]]]  # [x, u] -> f(u + x)
+    shifted *= g.flat
     E = flat_phase(grid.flat_points(), grid.flat_points(), +1)  # e^{2 pi i y.u}
-    out = np.empty((size, size), dtype=complex)
-    for flat in range(size):
-        jx = np.unravel_index(flat, grid.shape)
-        rolled = np.roll(f.values, shift=tuple(-(j - N // 2) for j in jx),
-                         axis=tuple(range(dim)))
-        out[flat, :] = E @ (rolled.ravel() * g.flat)
-    out = grid.weight * out.reshape(grid.shape + grid.shape)
+    out = grid.weight * (shifted @ E).reshape(grid.shape + grid.shape)
     cgrid = Grid((Axis(N, grid.half_width),) * (2 * dim))
     # row block = x multi-index, column block = y multi-index
     return SampledField(cgrid, out)
@@ -294,13 +256,6 @@ def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,
     M[np.any(u > L, axis=2)] = 0.0
     M *= abs(lam) ** (-n / 2)
     return FiberOperator(lam, grid, grid.weight * M)
-
-
-def rank_one(g: StateVector, h: StateVector) -> FiberOperator:
-    """P u = (int u g) h under the bilinear pairing; HS norm ||g|| ||h||."""
-    if g.grid != h.grid:
-        raise ValueError("states must share a grid")
-    return FiberOperator(None, g.grid, g.grid.weight * np.outer(h.flat, g.flat))
 
 
 def gramian(field: SampledField, lam: float, grid: LineGrid) -> float:

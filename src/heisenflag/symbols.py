@@ -320,11 +320,6 @@ class SeminormReport:
     def overall_ok(self) -> bool:
         return all(r.verdict == "ok" for r in self.rows)
 
-    def worst(self) -> "SeminormRow | None":
-        bad = [r for r in self.rows if r.verdict != "ok"]
-        pool = bad or self.rows
-        return max(pool, key=lambda r: r.sup) if pool else None
-
     def sym0(self) -> dict:
         """Best-constant table: sup of each (alpha, beta) over all fibers,
         NaN when any of its rows is NaN."""
@@ -468,8 +463,3 @@ def flag_estimate_report(spec: Spectrum,
                 verdict="+".join(flags) if flags else "ok",
             ))
     return report
-
-
-def sym0_seminorms(spec: Spectrum, **kwargs) -> dict:
-    """Best-constant table: sup of each normalized derivative over the scan."""
-    return flag_estimate_report(spec, **kwargs).sym0()

@@ -220,11 +220,14 @@ def central_slice(f: SampledField, lam: float) -> np.ndarray:
 
     The e^{+...} kernel matches the representation's central character;
     it equals the forward t-transform evaluated at -lam. Shape (Nv,)*2n.
+    t lam is reduced mod 1 before the exponential, so the far t samples
+    carry no rounding of a large phase (on dyadic axes the reduction is
+    exact).
     """
     _require_group_layout(f)
     _require_side(f, "group")
     grid = f.grid
-    phase = np.exp(2j * np.pi * grid.t_axis.points() * float(lam))
+    phase = np.exp(2j * np.pi * np.mod(grid.t_axis.points() * float(lam), 1.0))
     return grid.t_axis.spacing * np.tensordot(f.values, phase, axes=(2 * grid.n, 0))
 
 

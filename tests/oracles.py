@@ -14,8 +14,8 @@ from heisenflag.grids import Grid, LineGrid, flat_coords, flat_phase
 from heisenflag.group import GroupPoint
 from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
-from heisenflag.schrodinger import FiberOperator, _lambda_slice
-from heisenflag.symbols import Spectrum, SymbolGrid, kn_quantize
+from heisenflag.schrodinger import FiberOperator, StateVector, _lambda_slice
+from heisenflag.symbols import Spectrum, SymbolGrid, kn_quantize, kn_symbol_of
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -139,6 +139,23 @@ def kn_quantize_dense(a: SymbolGrid) -> np.ndarray:
     return g.weight * g.freq_weight * ((left * a.values.T) @ right)
 
 
+def pi_point_matrix(h: GroupPoint, lam: float, grid: LineGrid) -> FiberOperator:
+    """Matrix of pi_h^lam, the quantization of the symbol
+
+        e^{2 pi i lam t} e^{2 pi i xi.(sgn(lam) sqrt|lam| x)} e^{2 pi i sqrt|lam| y.s},
+
+    an outer product of a frequency vector and a position vector.
+    """
+    lam = float(lam)
+    if lam == 0.0:
+        raise ValueError("representation parameter lambda must be nonzero")
+    root = np.sqrt(abs(lam))
+    shift = np.exp(2j * np.pi * (grid.flat_freqs() @ (np.sign(lam) * root * h.x)))
+    ramp_y = np.exp(2j * np.pi * root * (grid.flat_points() @ h.y))
+    phase = np.exp(2j * np.pi * lam * h.t)
+    return kn_quantize(SymbolGrid(lam, grid, phase * np.outer(shift, ramp_y)))
+
+
 def pi_point_matrix_dense(h: GroupPoint, lam: float, grid: LineGrid) -> FiberOperator:
     """Matrix of pi_h^lam as W^H diag(shift ramp) W / size times the y-ramp
     and the central phase, with W the dense size x size forward DFT."""
@@ -214,6 +231,39 @@ def gauss_c_fun_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_{g,g}(x, y) for the unit Gaussian g(u) = exp(-pi u^2)."""
     return (np.exp(-np.pi * (x ** 2 + y ** 2) / 2.0)
             * np.exp(-1j * np.pi * x * y) / np.sqrt(2.0))
+
+
+def c_fun_shift_loop(f: StateVector, g: StateVector) -> np.ndarray:
+    """Values of `schrodinger.c_fun` one x row at a time: roll f by x,
+    multiply by g and sum against e^{2 pi i y.u}."""
+    grid = f.grid
+    N, dim, size = grid.count, grid.dim, grid.size
+    E = flat_phase(grid.flat_points(), grid.flat_points(), +1)
+    out = np.empty((size, size), dtype=complex)
+    for flat in range(size):
+        jx = np.unravel_index(flat, grid.shape)
+        rolled = np.roll(f.values, shift=tuple(-(j - N // 2) for j in jx),
+                         axis=tuple(range(dim)))
+        out[flat, :] = E @ (rolled.ravel() * g.flat)
+    return grid.weight * out.reshape(grid.shape + grid.shape)
+
+
+class GramSpectrum(Spectrum):
+    """Hermitian surrogate of a family: each fiber becomes A*A.
+
+    Quantization does not commute with pointwise conjugation, so real
+    symbols generally give non-Hermitian fibers; squaring through the
+    adjoint restores symmetry at the operator level and keeps the fiber
+    invertible exactly when the original one is.
+    """
+
+    def __init__(self, base):
+        super().__init__(base.n)
+        self.base = base
+
+    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
+        a = kn_quantize(self.base.fiber_table(lam, grid))
+        return kn_symbol_of(FiberOperator(lam, grid, a.matrix.conj().T @ a.matrix))
 
 
 class CallableSpectrum(Spectrum):

@@ -4,7 +4,7 @@ import pytest
 from common import GROUP16, GROUP8
 from oracles import centered_dft_shifted, dft_literal, symbol_interpolant_literal
 
-from heisenflag.fields import LambdaWindow, SampledField, load_field, save_field
+from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag.grids import (
     Axis,
     Grid,
@@ -28,7 +28,6 @@ def test_axis_geometry():
     assert ax.freq_half_width == 1.0
     pts = ax.points()
     assert pts[0] == -4.0 and pts[-1] == 3.5 and pts[8] == 0.0
-    assert ax.dual().dual() == ax
     with pytest.raises(ValueError):
         Axis(12, 4.0)
     with pytest.raises(ValueError):
@@ -37,7 +36,6 @@ def test_axis_geometry():
 
 def test_self_dual_line():
     g = self_dual_line(64)
-    assert g.is_self_dual()
     assert np.allclose(g.points(), g.freqs())
 
 
@@ -224,28 +222,15 @@ def test_lambda_window():
         LambdaWindow(1.5)
 
 
-def test_field_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    f = gaussian_field(GROUP8, v_rate=rng.uniform(0.5, 2.0, 2))
-    f = f.with_values(f.values * np.exp(1j * rng.normal(size=f.values.shape)))
-    for name, fmt in (("f.hfc", "binary"), ("f.json", "json")):
-        p = tmp_path / name
-        save_field(f, p, fmt=fmt)
-        g = load_field(p)
-        assert g.grid == f.grid
-        assert g.transformed == f.transformed
-        np.testing.assert_array_equal(g.values, f.values) if fmt == "binary" else \
-            np.testing.assert_allclose(g.values, f.values, atol=1e-15)
-
-
 def test_container_rejects_wrong_kind(tmp_path):
     from heisenflag.fields import write_blob
+    from heisenflag.schrodinger import load_operator
 
     p = tmp_path / "x.hfc"
     write_blob(p, {"kind": "something"}, np.zeros(2, dtype=complex))
-    with pytest.raises(ValueError):
-        load_field(p)
+    with pytest.raises(ValueError, match="expected 'fiber_operator'"):
+        load_operator(p)
     with open(p, "wb") as fh:
         fh.write(b"nope")
-    with pytest.raises(ValueError):
-        load_field(p)
+    with pytest.raises(ValueError, match="not a container file"):
+        load_operator(p)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenflag.group import (
-    GroupDims,
     GroupPoint,
     dilate,
     group_inv,
@@ -17,15 +16,6 @@ from heisenflag.group import (
 def random_point(rng, n=1, scale=2.0):
     return GroupPoint(rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, n),
                       rng.uniform(-scale, scale))
-
-
-def test_dims_validation():
-    assert GroupDims(1).homogeneous_dim == 4
-    assert GroupDims(3).homogeneous_dim == 8
-    with pytest.raises(ValueError):
-        GroupDims(2, homogeneous_dim=5)
-    with pytest.raises(ValueError):
-        GroupDims(0)
 
 
 def test_product_twists_center():

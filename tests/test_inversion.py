@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from common import GROUP32
-from oracles import node_inverse_derivative
+from oracles import GramSpectrum, node_inverse_derivative
 
 from heisenflag.checks import random_field
 from heisenflag.cli import ExperimentConfig
@@ -16,7 +16,6 @@ from heisenflag.grids import LineGrid
 from heisenflag.inversion import (
     H_REL,
     FiberInversionError,
-    GramSpectrum,
     SymmetryError,
     _inverse_derivatives,
     derivative_report,

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import GROUP16, GROUP32, GROUPWIDE, LINE64, LINE128
-from oracles import gauss_c_fun_closed_form, pi_field_quadrature_dense, pi_point_matrix_dense
+from oracles import (
+    c_fun_shift_loop,
+    gauss_c_fun_closed_form,
+    pi_field_quadrature_dense,
+    pi_point_matrix,
+    pi_point_matrix_dense,
+)
 
 from heisenflag.checks import balanced_rates, gauss_state, random_field, random_state
 from heisenflag.fields import SampledField
@@ -12,16 +18,14 @@ from heisenflag.grids import LineGrid, group_grid, self_dual_line
 from heisenflag.group import GroupPoint, group_inv, group_mul
 from heisenflag.schrodinger import (
     FiberOperator,
+    StateVector,
     big_c_fun,
     c_fun,
     gramian,
     hs_norm,
     load_operator,
-    operator_norm,
     pi_field,
     pi_point,
-    pi_point_matrix,
-    rank_one,
     save_operator,
 )
 from heisenflag.transform import central_slice_energy, convolve, gaussian_field, l2_norm, spike_field
@@ -150,6 +154,18 @@ def test_c_fun_gaussian_closed_form():
     assert np.max(np.abs(c.values - want)) < 1e-10
 
 
+@pytest.mark.parametrize("grid", [LINE64, LineGrid(64, 6.0), self_dual_line(8, 2)],
+                         ids=["n1-N64-dual", "n1-N64-L6", "n2-N8-dual"])
+def test_c_fun_matches_the_shift_loop(grid):
+    # noise states: every u carries weight, so every shift is exercised
+    rng = np.random.default_rng(47)
+    f, g = (StateVector(grid, rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape)) for _ in range(2))
+    want = c_fun_shift_loop(f, g)
+    got = c_fun(f, g).values
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 def test_c_hat_identity_exact_on_self_dual_grid():
     # c-hat(xi, eta) = f-hat(xi) g(eta) e^{2 pi i xi eta}, exact discretely
     from heisenflag.grids import centered_dft
@@ -244,18 +260,6 @@ def test_pi_field_band_validation():
         pi_field(f, 0.0, LINE64)
     with pytest.raises(ValueError):
         pi_field(f, 5.0, LINE64)  # beyond the t dual band of GROUP16
-
-
-def test_rank_one_hs_and_action():
-    rng = np.random.default_rng(49)
-    g = random_state(LINE64, rng)
-    h = random_state(LINE64, rng)
-    p = rank_one(g, h)
-    assert np.isclose(hs_norm(p), g.l2_norm() * h.l2_norm(), rtol=1e-12)
-    u = random_state(LINE64, rng)
-    coeff = LINE64.weight * np.sum(u.values * g.values)  # bilinear pairing
-    assert np.max(np.abs(p.apply(u).values - coeff * h.values)) < 1e-12
-    assert operator_norm(p) <= hs_norm(p) + 1e-12
 
 
 def test_gramian_matches_slice_energy():

@@ -30,7 +30,6 @@ from heisenflag.symbols import (
     flag_estimate_report,
     kn_quantize,
     kn_symbol_of,
-    sym0_seminorms,
     twisted_product,
     unit_symbol,
 )
@@ -56,7 +55,6 @@ QUANT_IDS = ["n1-N64-dual", "n1-N64-L6", "n2-N8-dual", "n2-N16-L3"]
 
 @pytest.mark.parametrize("grid", QUANT_GRIDS, ids=QUANT_IDS)
 def test_quantize_matches_dense_phase_products(grid):
-    assert grid.is_self_dual() == (grid in (LINE64, self_dual_line(8, 2)))
     rng = np.random.default_rng(62)
     a = random_symbol(0.5, grid, rng)
     want = kn_quantize_dense(a)
@@ -136,7 +134,7 @@ def test_fiber_symbol_of_gaussian_matches_analytic():
 def test_flag_report_catalog_and_negative_control():
     for name in ("delta", "riesz", "perturbed-identity", "tempered"):
         rep = flag_estimate_report(make_spectrum(name), directions=6, shells=9)
-        assert rep.overall_ok, (name, rep.worst())
+        assert rep.overall_ok, (name, {r.verdict for r in rep.rows} - {"ok"})
     rep = flag_estimate_report(make_spectrum("abs-w"), directions=6, shells=9)
     assert not rep.overall_ok
     bad = [r.verdict for r in rep.rows if r.verdict != "ok"]
@@ -340,7 +338,7 @@ def test_lambda_derivatives_drop_delta_terms():
 
 
 def test_sym0_constants_bounded_for_riesz():
-    table = sym0_seminorms(make_spectrum("riesz"), shells=7, directions=6)
+    table = flag_estimate_report(make_spectrum("riesz"), shells=7, directions=6).sym0()
     assert table and all(v < 50.0 for v in table.values())
 
 

@@ -68,29 +68,39 @@ def test_mixed_side_norms_preserved():
         assert f.l2_norm() == a.l2_norm()
 
 
-@pytest.mark.parametrize("t_count", [2, 4, 8, 64])
+# t half-widths of a power of two, where t lam is exact on the lattice
+DYADIC_T_HALF_WIDTH = {64: 8.0, 256: 16.0}
+
+
+@pytest.mark.parametrize("t_count", [2, 4, 8, 64, 256])
 def test_central_slice_is_the_weighted_t_transform_fiber(t_count):
     # convolve takes g's fiber m as central_slice(g, -lam_m)
     rng = np.random.default_rng(34)
-    grid = group_grid(1, 8, 4.0, t_count, 3.0)
-    lam = grid.t_axis.freqs()
-    dt = grid.t_axis.spacing
 
     def worst_gap(f):
-        want = dt * centered_dft(f.values, 2)
+        t_axis = f.grid.t_axis
+        want = t_axis.spacing * centered_dft(f.values, 2)
         gap = max(np.max(np.abs(central_slice(f, -l) - want[..., m]))
-                  for m, l in enumerate(lam))
+                  for m, l in enumerate(t_axis.freqs()))
         return gap, np.max(np.abs(want))
 
+    grid = group_grid(1, 8, 4.0, t_count, 3.0)
     for _ in range(3):
         gap, top = worst_gap(random_field(grid, rng, modulation_scale=0.5))
         assert gap <= 1e-15 * top
-    # on white noise the far t samples weigh as much as the central ones;
-    # their phase 2 pi t lam reaches pi Nt / 2 radians and is rounded to
-    # about eps Nt, against the bound Dt sum_t |f| of every fiber
+    # on white noise the far t samples weigh as much as the central ones.
+    # At half-width 3 lam = k / 6 is rounded, so t lam carries about eps Nt
+    # of rounding, against the bound Dt sum_t |f| of every fiber
     f = noise_field(grid, rng)
     gap, _ = worst_gap(f)
+    dt = grid.t_axis.spacing
     assert gap <= np.finfo(float).eps * t_count * dt * np.max(np.sum(np.abs(f.values), axis=2))
+    # on a dyadic axis t lam is exact and reduced mod 1 exactly, so the
+    # phase is rounded once, near 1
+    if t_count in DYADIC_T_HALF_WIDTH:
+        grid = group_grid(1, 8, 4.0, t_count, DYADIC_T_HALF_WIDTH[t_count])
+        gap, top = worst_gap(noise_field(grid, rng))
+        assert gap <= 1e-15 * top
 
 
 def test_gaussian_transform_closed_form():
