@@ -349,6 +349,24 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
     return status
 
 
+def _print_headroom(results) -> None:
+    """One row per identity check: error, tol and the headroom tol/error."""
+    if not isinstance(results, dict):
+        raise ConfigError("run.json identities summary needs a 'results' object")
+    rows = []
+    for name, row in results.items():
+        values = [row.get(k) if isinstance(row, dict) else None
+                  for k in ("error", "tol")]
+        if not all(type(v) in (int, float) and not v < 0 for v in values):
+            raise ConfigError(f"run.json result {name!r} needs non-negative "
+                              f"numbers 'error' and 'tol', got {row!r}")
+        error, tol = values
+        headroom = tol / error if error else math.inf
+        rows.append((name, f"{error:.3e}  {tol:.3e}  {headroom:.3g}"))
+    print("checks (error, tol, headroom tol/error):")
+    _print_table(rows)
+
+
 def cmd_report(cfg: ExperimentConfig) -> int:
     if cfg.out is None:
         raise ConfigError("report needs --out pointing at a finished run")
@@ -375,6 +393,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         if isinstance(v, (str, bool, int, float)):
             rows.append((k, f"{v:.6g}" if isinstance(v, float) else str(v)))
     _print_table(rows)
+    if run["command"] == "identities":
+        _print_headroom(run["summary"].get("results"))
     extra = sorted(p.name for p in Path(cfg.out).iterdir()
                    if p.name != "run.json")
     if extra:

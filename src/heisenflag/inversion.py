@@ -237,8 +237,9 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
         fiber = invert_fiber(a, cond_limit, strict)
         b, sigma_min, cond = fiber
         ab = a.matrix @ b.matrix
-        rr = np.linalg.norm(ab - eye, 2)
-        rl = np.linalg.norm(b.matrix @ a.matrix - eye, 2)
+        # Frobenius norms: upper bounds of the 2-norms, without an SVD each
+        rr = np.linalg.norm(ab - eye)
+        rl = np.linalg.norm(b.matrix @ a.matrix - eye)
         prod = kn_symbol_of(FiberOperator(lam, grid, ab))
         out.rows.append(FiberRow(
             lam=lam, sigma_min=sigma_min, sigma_max=sigma_min * cond, cond=cond,

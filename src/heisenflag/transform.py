@@ -78,13 +78,24 @@ def _lattice_xy(grid: Grid) -> np.ndarray:
 
 
 def group_reflect(f: SampledField) -> SampledField:
-    """f(h) -> f(h^{-1}), exact on the band-limited interpolant.
+    """f(h) -> f(h^{-1}), exact on the band-limited interpolant except on
+    two parts of the lattice data.
 
     The horizontal flips are lattice permutations, made by one gather;
     the central shear t -> -t + x.y is an off-lattice shift handled
     spectrally, fiber by fiber in lam. On the centered lattice the
     inverse transform of the spectrum at -lam is the forward transform
     over N, so the flip lam -> -lam costs no copy.
+
+    The exceptions:
+    - the self-mirrored rows, where some x_i or y_i is -L (index 0 of a
+      horizontal axis). The flip keeps -L at -L, the periodic image of
+      +L, but the shear takes the x.y of the output row, so these rows
+      are sheared by -L.y where +L.y is due.
+    - the t Nyquist mode, which the flip lam -> -lam keeps in place; it
+      is sheared with the phase of -lam_N only.
+    On data that vanish on both, applying this twice returns f to
+    rounding. The battery's decaying fields are negligible there.
     """
     _require_group_layout(f)
     _require_side(f, "group")
@@ -104,7 +115,13 @@ def group_reflect(f: SampledField) -> SampledField:
 
 
 def star_involution(f: SampledField) -> SampledField:
-    """f*(h) = conj(f(h^{-1}))."""
+    """f*(h) = conj(f(h^{-1})).
+
+    The conjugation undoes the Nyquist phase of `group_reflect`, so this
+    is an involution to rounding on data that vanish on the self-mirrored
+    rows (index 0 of a horizontal axis); on white noise only those rows
+    break it.
+    """
     r = group_reflect(f)
     np.conjugate(r.values, out=r.values)  # r owns its values
     return r

@@ -183,6 +183,40 @@ def test_report_replays_status(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == EXIT_CONFIG
 
 
+def test_report_shows_identity_headroom(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["identities", "--out", str(out)]) == EXIT_OK
+    results = json.loads((out / "run.json").read_text())["summary"]["results"]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for name, row in results.items():
+        cells = next(line for line in lines if line.split()[0] == name).split()
+        assert [float(c) for c in cells[1:3]] == pytest.approx(
+            [row["error"], row["tol"]], rel=1e-3)
+        want = row["tol"] / row["error"] if row["error"] else float("inf")
+        assert float(cells[3]) == pytest.approx(want, rel=1e-2)
+
+
+@pytest.mark.parametrize("results", [
+    None, ["group/associativity"], {"group/associativity": 0.5},
+    {"group/associativity": {"tol": 1e-12}},
+    {"group/associativity": {"error": "0", "tol": 1e-12}},
+    {"group/associativity": {"error": True, "tol": 1e-12}},
+    {"group/associativity": {"error": 1e-16, "tol": -1.0}},
+], ids=["missing", "list", "entry-number", "no-error", "error-string",
+        "error-bool", "tol-negative"])
+def test_report_malformed_identity_results_exits_config(tmp_path, capsys, results):
+    summary = {"checks": 1, "failed": []}
+    if results is not None:
+        summary["results"] = results
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"command": "identities", "status": 0, "summary": summary}))
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: run.json")
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     out = tmp_path / "run"
     args = ["invert", "--kernel", "perturbed-identity", "--eps", "0.2",
@@ -230,6 +264,30 @@ def run_module(*args):
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "heisenflag", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import heisenflag
+print("footprint import", "numpy.random" in sys.modules)
+for step, out in (("invert", sys.argv[1]), ("estimates", sys.argv[2])):
+    code = heisenflag.main([step, "--out", out])
+    print("footprint", step, code, "numpy.random" in sys.modules)
+"""
+
+
+def test_invert_and_estimates_do_not_load_numpy_random(tmp_path):
+    # numpy.random costs about 6 MiB resident and only `identities` draws;
+    # a subprocess, since this process has loaded it already
+    src = Path(heisenflag.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(tmp_path / "inv"),
+         str(tmp_path / "est")], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    steps = [line for line in proc.stdout.splitlines() if line.startswith("footprint")]
+    assert steps == ["footprint import False", "footprint invert 0 False",
+                     "footprint estimates 0 False"]
 
 
 def test_module_entry_point(tmp_path):

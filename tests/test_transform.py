@@ -14,7 +14,14 @@ from oracles import (
 
 from heisenflag.checks import balanced_rates, random_field
 from heisenflag.fields import LambdaWindow, SampledField
-from heisenflag.grids import LineGrid, centered_dft, group_grid, offset_table, self_dual_line
+from heisenflag.grids import (
+    LineGrid,
+    centered_dft,
+    centered_idft,
+    group_grid,
+    offset_table,
+    self_dual_line,
+)
 from heisenflag.group import GroupPoint, group_inv
 from heisenflag.schrodinger import pi_field
 from heisenflag.symbols import SymbolGrid, symbol_field
@@ -377,6 +384,27 @@ def test_group_reflect_involutive():
     f = random_field(GROUP32, rng, modulation_scale=0.25)
     rr = group_reflect(group_reflect(f))
     assert np.max(np.abs(rr.values - f.values)) < 1e-8 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("grid", [GROUP32, group_grid(2, 8, 4.0, 16, 8.0)],
+                         ids=["n1", "n2"])
+def test_involutions_exact_off_the_documented_rows(grid):
+    # white noise is nowhere negligible, so only the scope the docstrings
+    # state holds: zero on the self-mirrored rows (index 0 of a horizontal
+    # axis) for star_involution, and also on the t Nyquist mode for
+    # group_reflect
+    vals = noise_field(grid, np.random.default_rng(41)).values
+    for ax in range(2 * grid.n):
+        np.moveaxis(vals, ax, 0)[0] = 0.0
+    f = SampledField(grid, vals)
+    scale = np.max(np.abs(vals))
+    ff = star_involution(star_involution(f))
+    assert np.max(np.abs(ff.values - vals)) <= 1e-15 * scale
+    spectrum = centered_dft(vals, axes=(2 * grid.n,))
+    spectrum[..., 0] = 0.0
+    f = SampledField(grid, centered_idft(spectrum, axes=(2 * grid.n,)))
+    rr = group_reflect(group_reflect(f))
+    assert np.max(np.abs(rr.values - f.values)) <= 1e-15 * np.max(np.abs(f.values))
 
 
 def test_lambda_filter_projection():
