@@ -8,13 +8,14 @@ battery is what `heisenflag identities` runs; the acceptance suite reuses
 individual checks and the test suite the stock random inputs.  Each check
 draws from its own generator, keyed by (seed, crc32 of the check's name) in
 `check_context`, so a run is reproducible from (config, seed) alone and a
-check's draws do not depend on which other checks run.  The annotations stay
-unevaluated, so importing this module does not load `numpy.random` (about
-6 MiB resident); building a context does.
+check's draws do not depend on which other checks run.  The generators are
+the standard library's `random.Random` (Mersenne Twister), so no command
+loads numpy's random module, which costs about 6 MiB resident.
 """
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -54,7 +55,7 @@ class IdentityContext:
     grid: Grid               # group layout for transforms and gramians
     wide: Grid               # wider horizontal band for route comparisons
     state: LineGrid          # state space of the fiber representations
-    rng: np.random.Generator
+    rng: random.Random       # the check's own draws; see check_context
     draws: int = 20
 
     @property
@@ -70,16 +71,16 @@ def default_context(seed=0, n: int = 1, v_count: int = 32,
         grid=group_grid(n, v_count, v_half_width, t_count, t_half_width),
         wide=group_grid(n, 2 * v_count, v_half_width, t_count, t_half_width),
         state=self_dual_line(state_count, n),
-        rng=np.random.default_rng(seed),
+        rng=random.Random(seed),
         draws=draws,
     )
 
 
 def _random_point(ctx: IdentityContext, scale=0.5, t_scale=1.0) -> GroupPoint:
-    r = ctx.rng
-    return GroupPoint(r.uniform(-scale, scale, ctx.n),
-                      r.uniform(-scale, scale, ctx.n),
-                      float(r.uniform(-t_scale, t_scale)))
+    u = ctx.rng.uniform
+    return GroupPoint([u(-scale, scale) for _ in range(ctx.n)],
+                      [u(-scale, scale) for _ in range(ctx.n)],
+                      u(-t_scale, t_scale))
 
 
 def _point_gap(a: GroupPoint, b: GroupPoint) -> float:
@@ -103,19 +104,24 @@ def gauss_state(grid: LineGrid, rate: float = 1.0, center: float = 0.0,
     return StateVector(grid, out)
 
 
-def random_state(grid: LineGrid, rng: np.random.Generator) -> StateVector:
-    """Modulated Gaussian state; draws rate, center, momentum in that order."""
+def random_state(grid: LineGrid, rng) -> StateVector:
+    """Modulated Gaussian state; draws rate, center, momentum in that order.
+
+    `rng` is any generator with a scalar `uniform(a, b)`, such as
+    `random.Random` or a numpy Generator.
+    """
     return gauss_state(grid, rng.uniform(0.7, 1.6), rng.uniform(-0.4, 0.4),
                        rng.uniform(-0.5, 0.5))
 
 
-def random_field(grid: Grid, rng: np.random.Generator,
-                 modulation_scale: float = 0.3):
+def random_field(grid: Grid, rng, modulation_scale: float = 0.3):
     """Gaussian field near the balanced rates with a random central
-    modulation; draws the 2n v-rates, the t-rate, the modulation."""
+    modulation; draws the 2n v-rates, the t-rate, the modulation, each a
+    scalar `rng.uniform(a, b)` (see `random_state`)."""
     av, at = balanced_rates(grid)
     return gaussian_field(grid,
-                          v_rate=av * rng.uniform(0.75, 1.35, size=2 * grid.n),
+                          v_rate=[av * rng.uniform(0.75, 1.35)
+                                  for _ in range(2 * grid.n)],
                           t_rate=at * rng.uniform(0.75, 1.35),
                           modulation=rng.uniform(-modulation_scale, modulation_scale))
 
@@ -150,7 +156,7 @@ def _chk_dilation_automorphism(ctx: IdentityContext) -> float:
     worst = 0.0
     for _ in range(ctx.draws):
         a, b = _random_point(ctx), _random_point(ctx)
-        j = float(ctx.rng.uniform(0.3, 3.0))
+        j = ctx.rng.uniform(0.3, 3.0)
         worst = max(worst, _point_gap(dilate(j, group_mul(a, b)),
                                       group_mul(dilate(j, a), dilate(j, b))))
     return worst
@@ -160,7 +166,7 @@ def _chk_norm_homogeneity(ctx: IdentityContext) -> float:
     worst = 0.0
     for _ in range(ctx.draws):
         a = _random_point(ctx)
-        j = float(ctx.rng.uniform(0.3, 3.0))
+        j = ctx.rng.uniform(0.3, 3.0)
         worst = max(worst, abs(homogeneous_norm(dilate(j, a))
                                - j * homogeneous_norm(a)))
     return worst
@@ -191,7 +197,7 @@ def _chk_convolution_associativity(ctx: IdentityContext) -> float:
     # phase dominates the defect and decays with the y-tail squared
     r = ctx.rng
     f, g, h = (gaussian_field(ctx.grid,
-                              v_rate=r.uniform(1.0, 1.4, 2 * ctx.n),
+                              v_rate=[r.uniform(1.0, 1.4) for _ in range(2 * ctx.n)],
                               t_rate=0.125 * r.uniform(0.8, 1.2),
                               modulation=r.uniform(-0.3, 0.3))
                for _ in range(3))
@@ -229,7 +235,7 @@ def _chk_pi_unitarity(ctx: IdentityContext) -> float:
     worst = 0.0
     for _ in range(ctx.draws):
         h = _random_point(ctx)
-        lam = float(ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1))
+        lam = ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1)
         u = random_state(ctx.state, ctx.rng)
         worst = max(worst, abs(pi_point(h, lam, u).l2_norm() - u.l2_norm())
                     / u.l2_norm())
@@ -240,7 +246,7 @@ def _chk_pi_homomorphism(ctx: IdentityContext) -> float:
     worst = 0.0
     for _ in range(ctx.draws):
         g, h = _random_point(ctx), _random_point(ctx)
-        lam = float(ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1))
+        lam = ctx.rng.choice([-1, 1]) * 2.0 ** ctx.rng.uniform(-2, 1)
         u = random_state(ctx.state, ctx.rng)
         two = pi_point(g, lam, pi_point(h, lam, u))
         one = pi_point(group_mul(g, h), lam, u)
@@ -316,9 +322,10 @@ def _chk_gramian_sum(ctx: IdentityContext) -> float:
 
 def _random_symbol(ctx: IdentityContext, lam: float) -> SymbolGrid:
     """Complex noise symbol table; the real part is drawn first."""
-    shape = (ctx.state.size,) * 2
-    r = ctx.rng
-    return SymbolGrid(lam, ctx.state, r.standard_normal(shape) + 1j * r.standard_normal(shape))
+    m = ctx.state.size
+    g = ctx.rng.gauss
+    real, imag = np.array([g() for _ in range(2 * m * m)]).reshape(2, m, m)
+    return SymbolGrid(lam, ctx.state, real + 1j * imag)
 
 
 def _chk_quantize_roundtrip(ctx: IdentityContext) -> float:
@@ -395,10 +402,10 @@ BATTERY: tuple[IdentityCheck, ...] = (
 
 
 def check_context(seed: int, name: str, **grid_params) -> IdentityContext:
-    """Context of check `name` in a battery run at `seed`: its generator is
-    keyed by (seed, crc32(name)), so the pair alone fixes the check's draws."""
-    key = zlib.crc32(name.encode())
-    return default_context(seed=np.random.SeedSequence([seed, key]),
+    """Context of check `name` in a battery run at `seed` >= 0: its generator
+    is seeded with (seed << 32) | crc32(name), so the pair alone fixes the
+    check's draws."""
+    return default_context(seed=(seed << 32) | zlib.crc32(name.encode()),
                            **grid_params)
 
 
@@ -406,7 +413,7 @@ def run_identity_battery(seed: int = 0, names: "list[str] | None" = None,
                          **grid_params) -> dict:
     """Run the battery; returns {name: {error, tol, pass}} in battery order.
 
-    Each check draws from its own child generator keyed by (seed, name) (see
+    Each check draws from its own generator keyed by (seed, name) (see
     `check_context`), so its draws are determined by that pair, and results
     are independent of execution order.  The reported errors are
     rounding-level and can coincide across seeds, often at exactly 0.0, so

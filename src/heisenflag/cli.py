@@ -112,6 +112,8 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)}")
         if self.draws < 1:
             raise ConfigError(f"draws must be >= 1, got {self.draws}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     # -- derived objects --
 

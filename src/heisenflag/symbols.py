@@ -35,6 +35,7 @@ import csv
 import io
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -361,10 +362,11 @@ def _shell_points(n: int, radius: float, directions: int) -> np.ndarray:
     if n == 1:
         th = np.linspace(0.0, 2 * np.pi, directions, endpoint=False) + 0.39
         return radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-    # a seeded draw: these directions fix every n >= 2 scan value, so a new
-    # scheme would move them; it loads numpy.random, which n = 1 never does
-    rng = np.random.default_rng(directions + 7 * n)
-    v = rng.standard_normal((directions, 2 * n))
+    # a seeded draw of Gaussian vectors, uniform on the sphere once
+    # normalized; the standard library's generator, since numpy's random
+    # module costs about 6 MiB resident
+    g = random.Random(directions + 7 * n).gauss
+    v = np.array([g() for _ in range(directions * 2 * n)]).reshape(directions, 2 * n)
     return radius * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

@@ -42,4 +42,17 @@ def test_default_context_shapes():
     assert ctx.grid.n == 1
     assert ctx.wide.axes[0].count == 2 * ctx.grid.axes[0].count
     assert ctx.state.dim == 1
-    assert isinstance(ctx.rng, np.random.Generator)
+    again = default_context(seed=0)
+    assert np.array_equal(random_field(ctx.grid, ctx.rng).values,
+                          random_field(again.grid, again.rng).values)
+
+
+def test_check_context_keys_seed_and_name():
+    def draws(seed, name="transform/plancherel"):
+        ctx = check_context(seed, name)
+        return [ctx.rng.random() for _ in range(4)]
+
+    seeds = [draws(s) for s in (0, 1, 2**32)]
+    assert all(a != b for i, a in enumerate(seeds) for b in seeds[i + 1:])
+    assert draws(0) == draws(0)
+    assert draws(0) != draws(0, "transform/fourier-roundtrip")

@@ -217,6 +217,29 @@ def test_report_malformed_identity_results_exits_config(tmp_path, capsys, result
     assert err.count("\n") == 1 and err.startswith("configuration error: run.json")
 
 
+def test_negative_seed_exits_config(tmp_path, capsys):
+    # random.Random seeds on |seed|, so -1 would silently rerun seed 1
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": -1}))
+    for args in (["--seed", "-1"], ["--config", str(cfgfile)]):
+        out = tmp_path / "run"
+        assert main(["identities", *args, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+        assert not (out / "run.json").exists()
+
+
+def test_identities_independent_of_hash_seed(tmp_path):
+    summaries = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        proc = run_module("identities", "--seed", "5", "--out", str(out),
+                          PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        summaries.append(json.loads((out / "run.json").read_text())["summary"])
+    assert summaries[0] == summaries[1]
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     out = tmp_path / "run"
     args = ["invert", "--kernel", "perturbed-identity", "--eps", "0.2",
@@ -258,9 +281,9 @@ def test_out_of_memory_exits_config(tmp_path, capsys, monkeypatch):
     assert not (out / "run.json").exists()
 
 
-def run_module(*args):
+def run_module(*args, **env_vars):
     src = Path(heisenflag.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "heisenflag", *args],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -269,25 +292,33 @@ def run_module(*args):
 IMPORT_FOOTPRINT = """
 import sys
 import heisenflag
-print("footprint import", "numpy.random" in sys.modules)
-for step, out in (("invert", sys.argv[1]), ("estimates", sys.argv[2])):
-    code = heisenflag.main([step, "--out", out])
-    print("footprint", step, code, "numpy.random" in sys.modules)
+def loaded():
+    return [m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules]
+print("footprint import", loaded())
+out, n2 = sys.argv[1], sys.argv[2]
+for step, args in (("invert", []), ("estimates", []), ("identities", []),
+                   ("estimates", ["--config", n2])):
+    code = heisenflag.main([step, *args, "--out", f"{out}/{step}{len(args)}"])
+    print("footprint", step, *args[1:], code, loaded())
 """
 
 
-def test_invert_and_estimates_do_not_load_numpy_random(tmp_path):
-    # numpy.random costs about 6 MiB resident and only `identities` draws;
-    # a subprocess, since this process has loaded it already
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random costs about 6 MiB resident, 3.6 MiB of it OpenSSL's
+    # libcrypto through secrets; a subprocess, since this process has
+    # loaded it already
     src = Path(heisenflag.__file__).resolve().parent.parent
+    n2 = tmp_path / "n2.json"
+    n2.write_text(json.dumps({"n": 2}))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_FOOTPRINT, str(tmp_path / "inv"),
-         str(tmp_path / "est")], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(tmp_path), str(n2)],
+        capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     steps = [line for line in proc.stdout.splitlines() if line.startswith("footprint")]
-    assert steps == ["footprint import False", "footprint invert 0 False",
-                     "footprint estimates 0 False"]
+    assert steps == ["footprint import []", "footprint invert 0 []",
+                     "footprint estimates 0 []", "footprint identities 0 []",
+                     f"footprint estimates {n2} 0 []"]
 
 
 def test_module_entry_point(tmp_path):
