@@ -10,13 +10,11 @@ from .group import GroupPoint, dilate, group_inv, group_mul, homogeneous_norm, i
 from .grids import Axis, Grid, LineGrid, group_grid, self_dual_line
 from .fields import LambdaWindow, SampledField
 from .transform import (
-    central_frequencies,
     central_slice_energy,
     convolve,
     fourier,
     gaussian_field,
     inverse_fourier,
-    l2_norm,
     lambda_filter,
     spike_field,
     star_involution,
@@ -71,9 +69,8 @@ __all__ = [
     "homogeneous_norm", "identity",
     "Axis", "Grid", "LineGrid", "group_grid", "self_dual_line",
     "LambdaWindow", "SampledField",
-    "central_frequencies", "central_slice_energy", "convolve", "fourier",
-    "gaussian_field", "inverse_fourier", "l2_norm", "lambda_filter",
-    "spike_field", "star_involution",
+    "central_slice_energy", "convolve", "fourier", "gaussian_field",
+    "inverse_fourier", "lambda_filter", "spike_field", "star_involution",
     "FiberOperator", "StateVector", "big_c_fun", "c_fun", "gramian",
     "hs_norm", "load_operator", "pi_field", "pi_point", "save_operator",
     "SeminormReport", "SeminormRow", "Spectrum", "SymbolGrid",

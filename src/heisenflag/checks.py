@@ -42,7 +42,6 @@ from .transform import (
     fourier,
     gaussian_field,
     inverse_fourier,
-    l2_norm,
     spike_field,
     star_involution,
 )
@@ -174,7 +173,7 @@ def _chk_norm_homogeneity(ctx: IdentityContext) -> float:
 
 def _chk_plancherel(ctx: IdentityContext) -> float:
     f = random_field(ctx.grid, ctx.rng)
-    return abs(l2_norm(f) - l2_norm(fourier(f))) / l2_norm(f)
+    return abs(f.l2_norm() - fourier(f).l2_norm()) / f.l2_norm()
 
 
 def _chk_fourier_roundtrip(ctx: IdentityContext) -> float:
@@ -220,7 +219,7 @@ def _chk_star_isometry(ctx: IdentityContext) -> float:
     ff = star_involution(star_involution(f))
     return float(max(np.max(np.abs(ff.values - f.values))
                      / np.max(np.abs(f.values)),
-                     abs(l2_norm(star_involution(f)) - l2_norm(f)) / l2_norm(f)))
+                     abs(star_involution(f).l2_norm() - f.l2_norm()) / f.l2_norm()))
 
 
 def _chk_slice_energy_sum(ctx: IdentityContext) -> float:
@@ -228,7 +227,7 @@ def _chk_slice_energy_sum(ctx: IdentityContext) -> float:
     lams = ctx.grid.t_axis.freqs()
     total = ctx.grid.t_axis.freq_spacing * sum(
         central_slice_energy(f, float(l)) for l in lams)
-    return abs(total - l2_norm(f) ** 2) / l2_norm(f) ** 2
+    return abs(total - f.l2_norm() ** 2) / f.l2_norm() ** 2
 
 
 def _chk_pi_unitarity(ctx: IdentityContext) -> float:
@@ -317,7 +316,7 @@ def _chk_gramian_sum(ctx: IdentityContext) -> float:
     total = dl * sum(gramian(f, float(l), ctx.state)
                      for l in ctx.grid.t_axis.freqs() if l != 0.0)
     total += dl * central_slice_energy(f, 0.0)
-    return abs(total - l2_norm(f) ** 2) / l2_norm(f) ** 2
+    return abs(total - f.l2_norm() ** 2) / f.l2_norm() ** 2
 
 
 def _random_symbol(ctx: IdentityContext, lam: float) -> SymbolGrid:

@@ -1,6 +1,6 @@
 """Batch experiment runner over the kernel catalog and inline multipliers.
 
-Subcommands: `identities` (structural identity battery), `estimates`
+Commands: `identities` (structural identity battery), `estimates`
 (seminorm scans of a multiplier family), `invert` (the fiberwise inversion
 pipeline with diagnostics and serialized inverses) and `report` (re-read a
 previous run directory and reprint its summary).
@@ -100,8 +100,10 @@ class ExperimentConfig:
         if not math.isfinite(self.eps):
             raise ConfigError(f"eps must be finite, got {self.eps}")
         # out of range, a gate is switched off (every comparison with nan
-        # is false) or fails every run
+        # is false) or fails every run, and a grid has no points
         for name, ok, rule in (
+            ("v_half_width", self.v_half_width > 0, "> 0"),
+            ("t_half_width", self.t_half_width > 0, "> 0"),
             ("sigma_floor", self.sigma_floor > 0, "> 0"),
             ("residual_tol", self.residual_tol > 0, "> 0"),
             ("cond_limit", self.cond_limit >= 1, ">= 1"),
@@ -182,14 +184,13 @@ def load_config(path: "str | None", overrides: dict) -> ExperimentConfig:
     return cfg
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    if getattr(args, "kernel", None) is not None:
-        over["kernel"] = args.kernel
-    if getattr(args, "eps", None) is not None:
-        over["eps"] = args.eps
-    if getattr(args, "grid", None) is not None:
-        parts = args.grid.split(",")
+def _flag_overrides(flags: dict) -> dict:
+    """Config overrides from the flags given; `--grid` and `--lambda-band`
+    expand into their config keys."""
+    over = dict(flags)
+    grid = over.pop("grid", None)
+    if grid is not None:
+        parts = grid.split(",")
         if len(parts) != 4:
             raise ConfigError(
                 "--grid wants 'v_count,v_half_width,t_count,t_half_width'")
@@ -200,8 +201,9 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             over["t_half_width"] = float(parts[3])
         except ValueError as exc:
             raise ConfigError(f"bad --grid value: {exc}") from exc
-    if getattr(args, "lambda_band", None) is not None:
-        parts = args.lambda_band.split(":")
+    band = over.pop("lambda_band", None)
+    if band is not None:
+        parts = band.split(":")
         if len(parts) != 2:
             raise ConfigError("--lambda-band wants 'min:max'")
         try:
@@ -209,12 +211,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             over["lambda_max"] = float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad --lambda-band value: {exc}") from exc
-    if getattr(args, "out", None) is not None:
-        over["out"] = args.out
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    if getattr(args, "strict_symmetric", False):
-        over["strict_symmetric"] = True
     return over
 
 
@@ -243,7 +239,7 @@ def _print_table(rows: "list[tuple[str, str]]") -> None:
         print(f"  {k:<{width}}  {v}")
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- commands ------------------------------------------------------------------
 
 def cmd_identities(cfg: ExperimentConfig) -> int:
     results = run_identity_battery(
@@ -270,7 +266,7 @@ def cmd_estimates(cfg: ExperimentConfig) -> int:
         rmin=cfg.rmin, rmax=cfg.rmax, shells=cfg.shells,
         directions=cfg.directions, blowup_factor=cfg.blowup_factor)
     bad = [r for r in report.rows if r.verdict != "ok"]
-    entry = CATALOG.get(cfg.kernel)
+    entry = CATALOG.get(cfg.kernel.strip())  # the name make_spectrum resolves
     expected_ok = entry.flag_ok if entry is not None else True
     status = EXIT_OK if not bad else EXIT_TOLERANCE
     summary = {
@@ -331,7 +327,7 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
         "uniformity.json": _dump(uniform),
     })
     if cfg.out is not None:
-        res.save(cfg.out, operators=True)
+        res.save(cfg.out)
 
     verdict = {EXIT_OK: "ok", EXIT_TOLERANCE: "tolerance failure",
                EXIT_NUMERICAL: "not uniformly invertible"}[status]
@@ -406,35 +402,6 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
 # -- entry point ----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heisenflag",
-        description="Convolution-algebra experiments on the Heisenberg group")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("identities", "run the structural identity battery"),
-        ("estimates", "seminorm scans of a multiplier family"),
-        ("invert", "fiberwise inversion pipeline with diagnostics"),
-        ("report", "reprint the summary of a finished run directory"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--kernel",
-                       help="catalog name or 'expr: <inline multiplier>'")
-        p.add_argument("--eps", type=float, help="perturbation size")
-        p.add_argument("--grid",
-                       help="'v_count,v_half_width,t_count,t_half_width'")
-        p.add_argument("--lambda-band", dest="lambda_band",
-                       help="'min:max', positive; scanned at signed dyadics")
-        p.add_argument("--out", help="artifact directory")
-        p.add_argument("--seed", type=int, help="randomized-check seed")
-        p.add_argument("--strict-symmetric", action="store_true",
-                       dest="strict_symmetric",
-                       help="require Hermitian fibers (relative skew <= 1e-10, "
-                       "checked per fiber)")
-    return parser
-
-
 _COMMANDS = {
     "identities": cmd_identities,
     "estimates": cmd_estimates,
@@ -443,16 +410,44 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    # every flag serves every command; an absent flag leaves no attribute,
+    # so the namespace holds exactly the flags given
+    parser = argparse.ArgumentParser(
+        prog="heisenflag", argument_default=argparse.SUPPRESS,
+        description="Convolution-algebra experiments on the Heisenberg group")
+    parser.add_argument(
+        "command", choices=_COMMANDS,
+        help="identities: the structural identity battery; estimates: "
+        "seminorm scans of a multiplier family; invert: fiberwise inversion "
+        "pipeline with diagnostics; report: reprint the summary of a "
+        "finished run directory")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--kernel",
+                        help="catalog name or 'expr: <inline multiplier>'")
+    parser.add_argument("--eps", type=float, help="perturbation size")
+    parser.add_argument("--grid",
+                        help="'v_count,v_half_width,t_count,t_half_width'")
+    parser.add_argument("--lambda-band",
+                        help="'min:max', positive; scanned at signed dyadics")
+    parser.add_argument("--out", help="artifact directory")
+    parser.add_argument("--seed", type=int, help="randomized-check seed")
+    parser.add_argument("--strict-symmetric", action="store_true",
+                        help="require Hermitian fibers (relative skew <= "
+                        "1e-10, checked per fiber)")
+    return parser
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the config-error contract
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    command = flags.pop("command")
     try:
-        cfg = load_config(args.config, _flag_overrides(args))
-        return _COMMANDS[args.command](cfg)
+        cfg = load_config(flags.pop("config", None), _flag_overrides(flags))
+        return _COMMANDS[command](cfg)
     except (FiberInversionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

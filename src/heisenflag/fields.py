@@ -87,9 +87,6 @@ class SampledField:
     def with_values(self, values: np.ndarray) -> "SampledField":
         return SampledField(self.grid, values, self.transformed)
 
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.values.copy(), self.transformed)
-
     def l2_norm(self) -> float:
         return float(np.sqrt(self.quad_weight * np.sum(np.abs(self.values) ** 2)))
 

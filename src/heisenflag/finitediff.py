@@ -20,19 +20,17 @@ _TARGET_ACCURACY = 4
 
 
 @lru_cache(maxsize=None)
-def stencil(order: int, half_width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric stencil for the given derivative order at unit spacing.
 
-    The weights are exactly symmetric for even orders and antisymmetric
-    for odd ones, so an odd order weighs the center by 0.0.
+    Uses the smallest symmetric stencil that is 4th-order accurate. The
+    weights are exactly symmetric for even orders and antisymmetric for
+    odd ones, so an odd order weighs the center by 0.0.
 
     Parameters
     ----------
     order : int
         Derivative order, at least 0.
-    half_width : int, optional
-        Points used are offsets -half_width .. half_width.  Defaults to
-        the smallest symmetric stencil that is 4th-order accurate.
 
     Returns
     -------
@@ -44,10 +42,7 @@ def stencil(order: int, half_width: int | None = None) -> tuple[np.ndarray, np.n
         raise ValueError("derivative order must be nonnegative")
     if order == 0:
         return np.array([0]), np.array([1.0])
-    if half_width is None:
-        half_width = (order + _TARGET_ACCURACY - 1) // 2
-    if 2 * half_width < order:
-        raise ValueError(f"{2 * half_width + 1} points cannot give order {order}")
+    half_width = (order + _TARGET_ACCURACY - 1) // 2
     offsets = np.arange(-half_width, half_width + 1)
     # moment conditions: sum_o c_o o^k / k! = [k == order]
     rows = np.vander(offsets.astype(float), len(offsets), increasing=True).T

@@ -126,36 +126,15 @@ def group_grid(n: int, v_count: int, v_half_width: float,
 
 
 @dataclass(frozen=True)
-class LineGrid:
+class LineGrid(Axis):
     """Grid for states on R^n: the same axis replicated n times."""
 
-    count: int
-    half_width: float
     dim: int = 1
 
     def __post_init__(self):
-        if not _is_pow2(self.count):
-            raise ValueError(f"count must be a power of two >= 2, got {self.count}")
-        if not (self.half_width > 0 and np.isfinite(self.half_width)):
-            raise ValueError(f"bad half-width {self.half_width}")
+        super().__post_init__()
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-    @property
-    def axis(self) -> Axis:
-        return Axis(self.count, self.half_width)
-
-    @property
-    def spacing(self) -> float:
-        return self.axis.spacing
-
-    @property
-    def freq_spacing(self) -> float:
-        return self.axis.freq_spacing
-
-    @property
-    def freq_half_width(self) -> float:
-        return self.axis.freq_half_width
 
     @property
     def size(self) -> int:
@@ -172,12 +151,6 @@ class LineGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.count,) * self.dim
-
-    def points(self) -> np.ndarray:
-        return self.axis.points()
-
-    def freqs(self) -> np.ndarray:
-        return self.axis.freqs()
 
     def flat_points(self) -> np.ndarray:
         """All grid points as an array of shape (count^dim, dim), row-major."""

@@ -194,7 +194,7 @@ class InversionResult:
         return ReconstructedSpectrum(self.spec, self.grid, self.fibers,
                                      self.cond_limit)
 
-    def save(self, outdir, operators: bool = False) -> list:
+    def save(self, outdir) -> list:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -204,11 +204,10 @@ class InversionResult:
         p = outdir / "fibers.csv"
         p.write_text(self.to_csv())
         written.append(p)
-        if operators:
-            for lam, fiber in sorted(self.fibers.items()):
-                p = outdir / f"inverse_fiber_{lam:+.6f}.hfc"
-                save_operator(fiber.b, p)
-                written.append(p)
+        for lam, fiber in sorted(self.fibers.items()):
+            p = outdir / f"inverse_fiber_{lam:+.6f}.hfc"
+            save_operator(fiber.b, p)
+            written.append(p)
         return written
 
 

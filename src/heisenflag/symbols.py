@@ -43,7 +43,7 @@ import numpy as np
 
 from .fields import SampledField
 from .finitediff import partial_cloud
-from .grids import Grid, LineGrid, flat_coords, offset_table
+from .grids import Axis, Grid, LineGrid, flat_coords, offset_table
 from .jets import evaluate, truncation
 from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
@@ -122,7 +122,7 @@ def symbol_field(a: SymbolGrid) -> SampledField:
     frequency side, s axes on the position side."""
     g = a.grid
     n = g.dim
-    return SampledField(Grid((g.axis,) * (2 * n)),
+    return SampledField(Grid((Axis(g.count, g.half_width),) * (2 * n)),
                         a.values.reshape((g.count,) * (2 * n)),
                         (True,) * n + (False,) * n)
 

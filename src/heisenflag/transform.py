@@ -58,10 +58,6 @@ def inverse_fourier(f: SampledField) -> SampledField:
     return SampledField(f.grid, vals, (False,) * f.grid.ndim)
 
 
-def l2_norm(f: SampledField) -> float:
-    return f.l2_norm()
-
-
 # -- group symmetries ---------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -227,11 +223,6 @@ def lambda_filter(f: SampledField, window: LambdaWindow) -> SampledField:
     return f.with_values(centered_fft_inplace(spec, t_ax, inverse=True))
 
 
-def central_frequencies(grid: Grid) -> np.ndarray:
-    """The lambda lattice of a group grid (t-axis dual points)."""
-    return grid.t_axis.freqs()
-
-
 def central_slice(f: SampledField, lam: float) -> np.ndarray:
     """Dt sum_t f(x, y, t) e^{+2 pi i t lam} on the horizontal lattice.
 
@@ -261,8 +252,8 @@ def central_slice_energy(f: SampledField, lam: float) -> float:
 # -- stock fields -------------------------------------------------------------
 
 def gaussian_field(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
-                   modulation: float = 0.0, t_shift: float = 0.0) -> SampledField:
-    """Separable Gaussian envelope exp(-pi a_i v_i^2) exp(-pi a_t (t-t0)^2)
+                   modulation: float = 0.0) -> SampledField:
+    """Separable Gaussian envelope exp(-pi a_i v_i^2) exp(-pi a_t t^2)
     times the central character e^{2 pi i t lam0}.
 
     v_rate may be a scalar or one rate per horizontal axis. Each factor
@@ -276,7 +267,7 @@ def gaussian_field(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
         x = grid.axes[i].points().reshape((-1,) + (1,) * (2 * n - i))
         vals *= np.exp(-np.pi * rates[i] * x ** 2)
     t = grid.t_axis.points()  # the last axis, so it broadcasts as it is
-    vals *= np.exp(-np.pi * t_rate * (t - t_shift) ** 2)
+    vals *= np.exp(-np.pi * t_rate * t ** 2)
     if modulation != 0.0:
         vals *= np.exp(2j * np.pi * modulation * t)
     return SampledField(grid, vals)

@@ -106,10 +106,9 @@ def twisted_fiber_direct(fv: np.ndarray, gv: np.ndarray, lam: float,
 
 
 def gaussian_field_meshgrid(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
-                            modulation: float = 0.0,
-                            t_shift: float = 0.0) -> np.ndarray:
+                            modulation: float = 0.0) -> np.ndarray:
     """Values of `transform.gaussian_field` from full coordinate meshes:
-    each factor exp(-pi a_i v_i^2), exp(-pi a_t (t - t0)^2) and
+    each factor exp(-pi a_i v_i^2), exp(-pi a_t t^2) and
     e^{2 pi i t lam0} is evaluated on the whole grid and multiplied in,
     in that order."""
     n = grid.n
@@ -119,7 +118,7 @@ def gaussian_field_meshgrid(grid: Grid, v_rate=1.0, t_rate: float = 1.0,
     for i in range(2 * n):
         vals = vals * np.exp(-np.pi * rates[i] * mesh[i] ** 2)
     tt = mesh[2 * n]
-    vals = vals * np.exp(-np.pi * t_rate * (tt - t_shift) ** 2)
+    vals = vals * np.exp(-np.pi * t_rate * tt ** 2)
     if modulation != 0.0:
         vals = vals * np.exp(2j * np.pi * modulation * tt)
     return vals

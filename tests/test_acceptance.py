@@ -43,12 +43,10 @@ from heisenflag.symbols import (
     kn_symbol_of,
 )
 from heisenflag.transform import (
-    central_frequencies,
     central_slice_energy,
     convolve,
     fourier,
     gaussian_field,
-    l2_norm,
     lambda_filter,
 )
 
@@ -103,7 +101,7 @@ def test_criterion_2_plancherel_and_gaussian_transform():
     for _ in range(5):
         f = random_field(GROUP32, rng, modulation_scale=0.4)
         plancherel = max(plancherel,
-                         abs(l2_norm(f) - l2_norm(fourier(f))) / l2_norm(f))
+                         abs(f.l2_norm() - fourier(f).l2_norm()) / f.l2_norm())
     av, at = balanced_rates(GROUP32)
     lam0 = 0.5
     g = gaussian_field(GROUP32, v_rate=av, t_rate=at, modulation=lam0)
@@ -161,7 +159,7 @@ def test_criterion_4_fiber_dictionary():
     dl = GROUP32.t_axis.freq_spacing
     total = dl * sum(gramian(f32, float(l), LINE64) for l in lam_bins if l != 0.0)
     total += dl * central_slice_energy(f32, 0.0)
-    plancherel = abs(total - l2_norm(f32) ** 2) / l2_norm(f32) ** 2
+    plancherel = abs(total - f32.l2_norm() ** 2) / f32.l2_norm() ** 2
     ok = (routes <= 1e-6 and isometry <= 1e-10
           and slices <= 1e-6 and plancherel <= 1e-4)
     record(4, "fiber dictionary", ok,
@@ -267,7 +265,7 @@ def test_criterion_8_uniform_invertibility():
     frame = uniform_invertibility_report(
         invert_flag(spec, LADDER, FIBER_GRID))["frame_constant"]
     kernel = field_of_spectrum(spec, GROUP32)
-    bins = central_frequencies(GROUP32)
+    bins = GROUP32.t_axis.freqs()
     rng = np.random.default_rng(909)
     margin = np.inf
     for _ in range(20):

@@ -35,8 +35,6 @@ def test_stencil_moment_conditions():
 def test_stencil_rejects_bad_requests():
     with pytest.raises(ValueError):
         stencil(-1)
-    with pytest.raises(ValueError):
-        stencil(4, half_width=1)
 
 
 def test_partials_match_symbolic_oracle():

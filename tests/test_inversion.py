@@ -36,7 +36,7 @@ from heisenflag.symbols import (
     kn_symbol_of,
     unit_symbol,
 )
-from heisenflag.transform import central_frequencies, lambda_filter
+from heisenflag.transform import lambda_filter
 
 GRID = LineGrid(32, 4.0)
 DYADIC = [s * 2.0 ** j for j in range(-2, 3) for s in (1.0, -1.0)]
@@ -396,7 +396,7 @@ def test_gramian_lower_bound_on_random_banded_fields():
     frame = uniform_invertibility_report(
         invert_flag(spec, DYADIC, GRID))["frame_constant"]
     kernel = field_of_spectrum(spec, GROUP32)
-    bins = central_frequencies(GROUP32)
+    bins = GROUP32.t_axis.freqs()
     rng = np.random.default_rng(11)
     for _ in range(5):
         f = lambda_filter(random_field(GROUP32, rng, modulation_scale=0.5),
@@ -428,12 +428,12 @@ def test_reconstructed_inverse_flag_scan_windowed():
 def test_export_artifacts_deterministic(tmp_path):
     spec = make_spectrum("perturbed-identity", eps=0.3)
     res = invert_flag(spec, [0.5, -0.5], GRID)
-    files = res.save(tmp_path / "a", operators=True)
+    files = res.save(tmp_path / "a")
     names = sorted(p.name for p in files)
     assert "inversion.json" in names and "fibers.csv" in names
     assert any(n.startswith("inverse_fiber_") for n in names)
     again = invert_flag(spec, [0.5, -0.5], GRID)
-    again.save(tmp_path / "b", operators=True)
+    again.save(tmp_path / "b")
     for p in files:
         q = tmp_path / "b" / p.name
         assert p.read_bytes() == q.read_bytes()

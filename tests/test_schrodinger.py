@@ -28,7 +28,7 @@ from heisenflag.schrodinger import (
     pi_point,
     save_operator,
 )
-from heisenflag.transform import central_slice_energy, convolve, gaussian_field, l2_norm, spike_field
+from heisenflag.transform import central_slice_energy, convolve, gaussian_field, spike_field
 
 
 def random_group_point(rng, scale=0.5, t_scale=1.0):
@@ -280,7 +280,7 @@ def test_gramian_sums_to_norm():
     total += dl * central_slice_energy(f, 0.0)  # the one excluded bin
     # innermost bins dominate the error: there the kernel varies on the
     # scale band/sqrt|lam| and the state lattice undersamples its square
-    assert np.isclose(total, l2_norm(f) ** 2, rtol=1e-4)
+    assert np.isclose(total, f.l2_norm() ** 2, rtol=1e-4)
 
 
 def test_operator_container_roundtrip(tmp_path):

@@ -27,7 +27,6 @@ from heisenflag.schrodinger import pi_field
 from heisenflag.symbols import SymbolGrid, symbol_field
 from heisenflag.transform import (
     _lattice_xy,
-    central_frequencies,
     central_slice,
     central_slice_energy,
     convolve,
@@ -35,7 +34,6 @@ from heisenflag.transform import (
     gaussian_field,
     group_reflect,
     inverse_fourier,
-    l2_norm,
     lambda_filter,
     spike_field,
     star_involution,
@@ -52,7 +50,7 @@ def test_plancherel_exact():
     rng = np.random.default_rng(21)
     for grid in (GROUP8, GROUP16):
         f = noise_field(grid, rng)
-        assert np.isclose(l2_norm(f), l2_norm(fourier(f)), rtol=1e-13)
+        assert np.isclose(f.l2_norm(), fourier(f).l2_norm(), rtol=1e-13)
 
 
 def test_roundtrip_exact():
@@ -131,8 +129,7 @@ def test_gaussian_field_matches_meshgrid_oracle(grid):
     per_axis = np.linspace(0.7, 1.6, 2 * grid.n)
     for v_rate in (1.0, 1.3, per_axis):
         for modulation in (0.0, 0.25):
-            kw = dict(v_rate=v_rate, t_rate=0.9, modulation=modulation,
-                      t_shift=0.5)
+            kw = dict(v_rate=v_rate, t_rate=0.9, modulation=modulation)
             got = gaussian_field(grid, **kw).values
             assert np.array_equal(got, gaussian_field_meshgrid(grid, **kw))
 
@@ -195,7 +192,7 @@ def test_operations_leave_their_inputs_unchanged():
     h = convolve(f, g)
     for x, before in zip((f, g, F), keep):
         assert np.array_equal(x.values, before)
-    assert np.array_equal(convolve(f, f).values, convolve(f, f.copy()).values)
+    assert np.array_equal(convolve(f, f).values, convolve(f, f.with_values(f.values.copy())).values)
     assert not np.shares_memory(h.values, f.values)
 
 
@@ -326,7 +323,7 @@ def test_star_is_involutive_and_isometric():
     ff = star_involution(star_involution(f))
     # residual is the band-limitation defect of the sheared interpolant
     assert np.max(np.abs(ff.values - f.values)) < 1e-8 * np.max(np.abs(f.values))
-    assert np.isclose(l2_norm(star_involution(f)), l2_norm(f), rtol=1e-10)
+    assert np.isclose(star_involution(f).l2_norm(), f.l2_norm(), rtol=1e-10)
 
 
 def test_group_reflect_matches_interpolant_at_inverse_points():
@@ -416,10 +413,10 @@ def test_lambda_filter_projection():
     assert np.max(np.abs(pf2.values - pf.values)) < 1e-12
     # orthogonal projection: energies split exactly
     rest = f.with_values(f.values - pf.values)
-    assert np.isclose(l2_norm(f) ** 2, l2_norm(pf) ** 2 + l2_norm(rest) ** 2,
+    assert np.isclose(f.l2_norm() ** 2, pf.l2_norm() ** 2 + rest.l2_norm() ** 2,
                       rtol=1e-12)
     # surviving bins are exactly the window band
-    lam = central_frequencies(GROUP16)
+    lam = GROUP16.t_axis.freqs()
     outside = lam[~win.contains(lam)]
     assert max(np.max(np.abs(central_slice(pf, -l))) for l in outside) < 1e-12
 
@@ -427,10 +424,10 @@ def test_lambda_filter_projection():
 def test_slice_energy_decomposes_norm():
     rng = np.random.default_rng(33)
     f = random_field(GROUP16, rng, modulation_scale=0.4)
-    lam = central_frequencies(GROUP16)
+    lam = GROUP16.t_axis.freqs()
     dl = GROUP16.t_axis.freq_spacing
     total = dl * sum(central_slice_energy(f, float(l)) for l in lam)
-    assert np.isclose(total, l2_norm(f) ** 2, rtol=1e-12)
+    assert np.isclose(total, f.l2_norm() ** 2, rtol=1e-12)
 
 
 def test_slice_energy_sign_convention():
