@@ -20,7 +20,6 @@ from .transform import (
     star_involution,
 )
 from .schrodinger import (
-    FiberOperator,
     StateVector,
     big_c_fun,
     c_fun,
@@ -32,6 +31,7 @@ from .schrodinger import (
     save_operator,
 )
 from .symbols import (
+    FiberOperator,
     SeminormReport,
     SeminormRow,
     Spectrum,

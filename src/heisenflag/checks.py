@@ -25,7 +25,6 @@ import numpy as np
 from .grids import Grid, LineGrid, group_grid, self_dual_line
 from .group import GroupPoint, dilate, group_inv, group_mul, homogeneous_norm, identity
 from .schrodinger import (
-    FiberOperator,
     StateVector,
     big_c_fun,
     c_fun,
@@ -34,7 +33,8 @@ from .schrodinger import (
     pi_field,
     pi_point,
 )
-from .symbols import SymbolGrid, fiber_symbol, kn_quantize, kn_symbol_of, twisted_product
+from .symbols import (FiberOperator, SymbolGrid, fiber_symbol, kn_quantize, kn_symbol_of,
+                      twisted_product)
 from .kernels import make_spectrum
 from .transform import (
     central_slice_energy,

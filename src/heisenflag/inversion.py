@@ -5,12 +5,13 @@ and inverts the matrix through one SVD. That SVD gives one `Fiber` record
 per fiber: the inverse B plus its smallest singular value and condition
 number. `InversionResult.fibers` holds these records, and the derivative
 scan, the glued inverse family and the verification read them instead of
-factorizing a fiber again; the record keeps no A or symbol table, so its
-memory stays one matrix per fiber. Together with the two-sided residuals
-the diagnostics decide whether the family is uniformly invertible: a
-fiber can be perfectly invertible as a matrix while its symbol vanishes
-on the flag boundary, so uniformity is judged against an absolute
-singular-value floor rather than the condition limit alone.
+factorizing a fiber again (the derivative probe LU-inverts stencil nodes);
+the record keeps no A or symbol table, so its memory stays one matrix per
+fiber. Together with the two-sided residuals the diagnostics decide
+whether the family is uniformly invertible: a fiber can be perfectly
+invertible as a matrix while its symbol vanishes on the flag boundary,
+so uniformity is judged against an absolute singular-value floor rather
+than the condition limit alone.
 
 The inverse tables read off the records glue to a new symbol family on
 covariable space through the inverse parabolic frame map; that family
@@ -32,11 +33,13 @@ import numpy as np
 
 from .finitediff import stencil
 from .grids import LineGrid
-from .schrodinger import FiberOperator, gramian, hs_norm, save_operator
+from .schrodinger import gramian, hs_norm, save_operator
 from .transform import convolve
 from .symbols import (
+    FiberOperator,
     Spectrum,
     SymbolGrid,
+    _refuse_non_finite,
     evaluate_symbol,
     fiber_axes,
     kn_quantize,
@@ -71,14 +74,6 @@ class Fiber(NamedTuple):
     b: FiberOperator
     sigma_min: float
     cond: float
-
-
-def _refuse_non_finite(values: np.ndarray, lam: float) -> None:
-    """Raise `LinAlgError` naming the fiber if any entry is not finite."""
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise np.linalg.LinAlgError(
-            f"fiber at lam={lam:g}: {bad} of {values.size} entries are not finite")
 
 
 def invert_fiber(a: FiberOperator, cond_limit: float = 1e8,
@@ -223,7 +218,7 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     symbol class, and the floor is what detects them. `strict` requires
     every fiber matrix to be Hermitian (relative skew at most 1e-10),
     measured per fiber before its SVD. A symbol table with a non-finite
-    entry raises `LinAlgError` naming the fiber before it is quantized.
+    entry raises `LinAlgError` naming the fiber in `kn_quantize`.
     """
     out = InversionResult(grid=grid, cond_limit=cond_limit,
                           sigma_floor=sigma_floor, spec=spec)
@@ -231,7 +226,6 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     for lam in lam_values:
         lam = float(lam)
         table = spec.fiber_table(lam, grid)
-        _refuse_non_finite(table.values, lam)
         a = kn_quantize(table)
         fiber = invert_fiber(a, cond_limit, strict)
         b, sigma_min, cond = fiber
@@ -469,8 +463,8 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     Only rows above their rounding floor are judged (`resolved`); an order
     whose rows are all zero to rounding is uniform. The `probe` checks the
     Leibniz rule at the fiber of largest |lam| against the order-1 stencil
-    of its inverted nodes (4 SVDs), with `identity_rel` only when that
-    row is resolved (below the floor it is a ratio of noise to noise).
+    of its LU-inverted nodes, with `identity_rel` only when that row is
+    resolved (below the floor it is a ratio of noise to noise).
     """
     checks = [lambda_derivative_check(result.spec, result.fibers[lam], m_max)
               for lam in result.lam_values]
@@ -488,9 +482,12 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     da = db = 0.0
     for o, w in zip(*stencil(1)):
         if w:  # the order-1 stencil weighs its center by zero
-            a = kn_quantize(result.spec.fiber_table(lam + o * h, result.grid))
-            da = da + w / h * a.matrix
-            db = db + w / h * invert_fiber(a, result.cond_limit).b.matrix
+            a = kn_quantize(result.spec.fiber_table(lam + o * h, result.grid)).matrix
+            da = da + w / h * a
+            try:
+                db = db + w / h * np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:  # name the node, as invert_fiber does
+                raise np.linalg.LinAlgError(f"fiber at lam={lam + o * h:g}: {exc}") from exc
     residual = float(np.linalg.norm(db + b @ da @ b, 2))
     probe = {"lam": lam, "identity_residual": residual}
     row = checks[result.lam_values.index(lam)][0]

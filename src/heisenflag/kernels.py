@@ -258,11 +258,11 @@ def make_spectrum(spec: str, n: int = 1, eps: float = 0.5) -> SympySpectrum:
     """Catalog name or an `expr:` inline definition to a symbol family."""
     spec = spec.strip()
     if spec.startswith("expr:"):
-        return SympySpectrum(spec[5:], n)
+        return SympySpectrum(parse_tape(spec[5:], n), n)
     entry = CATALOG.get(spec)
     if entry is None:
         known = ", ".join(sorted(CATALOG))
         raise KernelParseError(f"unknown kernel {spec!r}; catalog: {known}")
     if entry.uses_eps and not (0.0 < abs(eps) < 1.0):
         raise KernelParseError(f"kernel {spec!r} needs 0 < |eps| < 1, got {eps}")
-    return SympySpectrum(entry.text(n, eps), n)
+    return SympySpectrum(parse_tape(entry.text(n, eps), n), n)

@@ -10,7 +10,7 @@ exactly unitary on the grid and the group law holds up to the spectral
 leakage of the states involved.
 
 Compressing a field f against the representation gives the fiber operator
-pi_f^lam = int f(h) pi_h^lam dh. Two independent routes are kept:
+pi_f^lam = int f(h) pi_h^lam dh, a `symbols.FiberOperator`. Two routes are kept:
 
 * ``route="quadrature"``: the weighted sum of pi_h over the group
   lattice, computed as the quantization (`symbols.kn_quantize`) of the
@@ -38,6 +38,7 @@ from .fields import SampledField, write_blob, read_blob
 from .grids import (Axis, Grid, LineGrid, centered_dft, centered_fft_inplace, flat_coords,
                     flat_phase, offset_table)
 from .group import GroupPoint
+from .symbols import FiberOperator, SymbolGrid, kn_quantize
 from .transform import central_slice
 
 
@@ -61,30 +62,6 @@ class StateVector:
 
     def with_values(self, values: np.ndarray) -> "StateVector":
         return StateVector(self.grid, np.asarray(values, dtype=complex).reshape(self.grid.shape))
-
-
-@dataclass
-class FiberOperator:
-    """Dense operator on states of a LineGrid, tagged with its fiber."""
-
-    lam: float | None
-    grid: LineGrid
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        size = self.grid.size
-        if m.shape != (size, size):
-            raise ValueError(f"matrix shape {m.shape} != ({size}, {size})")
-        self.matrix = m
-
-    def apply(self, u: StateVector) -> StateVector:
-        return u.with_values(self.matrix @ u.flat)
-
-    def __matmul__(self, other: "FiberOperator") -> "FiberOperator":
-        if self.grid != other.grid:
-            raise ValueError("fiber grids differ")
-        return FiberOperator(self.lam, self.grid, self.matrix @ other.matrix)
 
 
 def hs_norm(a: FiberOperator) -> float:
@@ -202,7 +179,6 @@ def pi_field(field: SampledField, lam: float, grid: LineGrid,
 def _pi_field_quadrature(field: SampledField, lam: float, grid: LineGrid) -> FiberOperator:
     """Quantization of vw sum_x g2(x, s) e^{2 pi i xi.(sgn(lam) sqrt|lam| x)},
     the symbol of the x-lattice sum vw sum_x g2(x, s) pi_(x,0,0)."""
-    from .symbols import SymbolGrid, kn_quantize  # deferred: symbols imports this module
     g2 = _lambda_slice(field, lam, grid.flat_points())  # (Nv^n, size)
     xs = flat_coords([ax.points() for ax in field.grid.x_axes])
     root = np.sign(lam) * np.sqrt(abs(lam))
@@ -284,6 +260,5 @@ def load_operator(path) -> FiberOperator:
         raise ValueError(f"container holds {header.get('kind')!r}, expected 'fiber_operator'")
     g = header["grid"]
     grid = LineGrid(g["count"], g["half_width"], g["dim"])
-    lam = header["lam"]
-    return FiberOperator(None if lam is None else float(lam), grid,
+    return FiberOperator(float(header["lam"]), grid,
                          payload.reshape(tuple(header["shape"])))

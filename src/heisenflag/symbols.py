@@ -18,7 +18,7 @@ xi.(s - x'), the matrix depends on s - x' only through the lattice offset
 
 one inverse FFT over the xi axes read through `grids.offset_table`, the
 table the twisted group convolution gathers with; the symbol of a matrix
-is the reverse gather and a forward FFT.
+is the reverse gather and a forward FFT; a table that is not finite is refused.
 
 The seminorm scans at the bottom quantify membership in the flag class:
 normalized derivatives
@@ -45,7 +45,6 @@ from .fields import SampledField
 from .finitediff import partial_cloud
 from .grids import Axis, Grid, LineGrid, flat_coords, offset_table
 from .jets import evaluate, truncation
-from .schrodinger import FiberOperator
 from .transform import fourier, inverse_fourier
 
 
@@ -79,12 +78,46 @@ class SymbolGrid:
         return SymbolGrid(self.lam, self.grid, values)
 
 
+@dataclass
+class FiberOperator:
+    """Dense operator on states of a LineGrid, tagged with its fiber."""
+
+    lam: float
+    grid: LineGrid
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        size = self.grid.size
+        if m.shape != (size, size):
+            raise ValueError(f"matrix shape {m.shape} != ({size}, {size})")
+        self.matrix = m
+
+    def apply(self, u):  # u: a `schrodinger.StateVector`
+        return u.with_values(self.matrix @ u.flat)
+
+    def __matmul__(self, other: "FiberOperator") -> "FiberOperator":
+        if self.grid != other.grid:
+            raise ValueError("fiber grids differ")
+        return FiberOperator(self.lam, self.grid, self.matrix @ other.matrix)
+
+
+def _refuse_non_finite(values: np.ndarray, lam: float) -> None:
+    """Raise `LinAlgError` naming the fiber if any entry is not finite."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise np.linalg.LinAlgError(
+            f"fiber at lam={lam:g}: {bad} of {values.size} entries are not finite")
+
+
 def kn_quantize(a: SymbolGrid) -> FiberOperator:
     """Matrix of Op(a) on the state lattice; exact inverse of kn_symbol_of.
 
     One inverse FFT over the xi axes gives c[d, s], whose N^{-n} is the
-    weight Dx^n Dxi^n, and Op(a)[s, x'] = c[(s - x') mod N, s].
+    weight Dx^n Dxi^n, and Op(a)[s, x'] = c[(s - x') mod N, s]. A table
+    with a non-finite entry raises `LinAlgError` naming the fiber.
     """
+    _refuse_non_finite(a.values, a.lam)
     g = a.grid
     xi_axes = tuple(range(g.dim))
     c = np.fft.ifftn(np.fft.ifftshift(a.values.reshape(g.shape + (g.size,)),
@@ -102,8 +135,7 @@ def kn_symbol_of(op: FiberOperator) -> SymbolGrid:
     offset = offset_table(g.count, g.dim)  # [d, s] -> (s - d) mod N
     c = op.matrix[np.arange(g.size), offset].reshape(g.shape + (g.size,))
     vals = np.fft.fftshift(np.fft.fftn(c, axes=xi_axes), axes=xi_axes)
-    lam = 0.0 if op.lam is None else op.lam
-    return SymbolGrid(lam, g, vals.reshape(g.size, g.size))
+    return SymbolGrid(op.lam, g, vals.reshape(g.size, g.size))
 
 
 def unit_symbol(lam: float, grid: LineGrid) -> SymbolGrid:
@@ -183,8 +215,8 @@ class Spectrum:
 class SympySpectrum(Spectrum):
     """Symbol family given by an inline expression in w1..w_{2n} and lam.
 
-    The text is parsed once straight into a tape of Taylor-jet rules
-    (`heisenflag.jets`, grammar in `heisenflag.kernels`). One pass over the
+    It holds the expression's tape of Taylor-jet rules (`heisenflag.jets`),
+    which `kernels.make_spectrum` parses from the text. One pass over the
     tape yields every derivative d_w^alpha d_lam^beta of a scan at once,
     and order 0 of the same pass is the family's value. |lam|
     differentiates to sign(lam): the delta terms of its higher derivatives
@@ -194,10 +226,9 @@ class SympySpectrum(Spectrum):
     expression from the tape (`tests/oracles.py`).
     """
 
-    def __init__(self, text: str, n: int):
+    def __init__(self, tape: list, n: int):
         super().__init__(n)
-        from .kernels import parse_tape     # deferred: kernels imports this module
-        self._tape = parse_tape(text, n)
+        self._tape = tape
         self._views: dict = {}
 
     def derivatives(self, indices, W, lam):

@@ -14,8 +14,8 @@ from heisenflag.grids import Grid, LineGrid, flat_coords, flat_phase
 from heisenflag.group import GroupPoint
 from heisenflag.inversion import invert_fiber
 from heisenflag.kernels import parse_tape
-from heisenflag.schrodinger import FiberOperator, StateVector, _lambda_slice
-from heisenflag.symbols import Spectrum, SymbolGrid, kn_quantize, kn_symbol_of
+from heisenflag.schrodinger import StateVector, _lambda_slice
+from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, kn_quantize, kn_symbol_of
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:

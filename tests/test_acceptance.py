@@ -27,7 +27,6 @@ from heisenflag.inversion import (
 )
 from heisenflag.kernels import make_spectrum
 from heisenflag.schrodinger import (
-    FiberOperator,
     big_c_fun,
     c_fun,
     gramian,
@@ -36,6 +35,7 @@ from heisenflag.schrodinger import (
     pi_point,
 )
 from heisenflag.symbols import (
+    FiberOperator,
     fiber_symbol,
     field_of_spectrum,
     flag_estimate_report,

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from heisenflag.grids import LineGrid
-from heisenflag.schrodinger import FiberOperator, save_operator
+from heisenflag.schrodinger import save_operator
+from heisenflag.symbols import FiberOperator
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
 

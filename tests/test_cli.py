@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, determinism, config handling."""
 
+import ast
 import csv
 import io
 import json
@@ -67,14 +68,18 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfgfile.write_text(json.dumps({"kernel": "riesz", "lambda_max": 1.0}))
     out = tmp_path / "run"
     code = main(["estimates", "--config", str(cfgfile), "--kernel", "delta",
-                 "--out", str(out)])
+                 "--grid", "16,2.5,32,6.0", "--out", str(out)])
     assert code == EXIT_OK
     run = json.loads((out / "run.json").read_text())
     assert run["config"]["kernel"] == "delta"      # flag beats file
     assert run["config"]["lambda_max"] == 1.0      # file beats default
+    # --grid expands into its four config keys
+    assert {k: run["config"][k] for k in ("v_count", "v_half_width", "t_count",
+                                          "t_half_width")} == {
+        "v_count": 16, "v_half_width": 2.5, "t_count": 32, "t_half_width": 6.0}
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
@@ -88,6 +93,11 @@ def test_config_errors(tmp_path):
     bad.write_text(json.dumps({"v_count": 33}))
     assert main(["identities", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["identities", "--grid", "32,4.0"]) == EXIT_CONFIG
+    for flag, value in (("--grid", "16,x,32,8.0"), ("--lambda-band", "0.5"),
+                        ("--lambda-band", "0.5:x")):
+        capsys.readouterr()
+        assert main(["estimates", flag, value]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err, (flag, value)
     # gate values that would switch a gate off or fail every run
     for gate in ({"sigma_floor": -1}, {"sigma_floor": 0}, {"residual_tol": float("nan")},
                  {"residual_tol": float("inf")}, {"cond_limit": -5},
@@ -130,6 +140,14 @@ def test_estimates_inline_kernel(tmp_path):
     assert main(["estimates", "--kernel", expr, "--out", str(out)]) == EXIT_OK
     run = json.loads((out / "run.json").read_text())
     assert run["summary"]["expected_pass"]  # inline families default to pass
+    # a pole at w = 0: every alpha row with beta = 0 blows up inward
+    out = tmp_path / "pole"
+    assert main(["estimates", "--kernel", "expr: 1/(w1^2 + w2^2)",
+                 "--out", str(out)]) == EXIT_TOLERANCE
+    rows = list(csv.DictReader((out / "flag_report.csv").read_text().splitlines()))
+    flagged = [r for r in rows if r["verdict"] != "ok"]
+    assert len(rows) == 96 and len(flagged) == 48
+    assert all(r["verdict"] == "origin-blowup" and r["beta"] == "0" for r in flagged)
 
 
 def test_invert_perturbed_identity_ok(tmp_path):
@@ -335,6 +353,27 @@ def test_no_command_loads_numpy_random(tmp_path):
                      f"footprint estimates {n2} 0 []"]
 
 
+def test_package_imports_in_one_direction():
+    # no import from the package hides inside a function or class body,
+    # and the module-level `from .x import` graph has no cycle
+    graph = {}
+    for path in sorted(Path(heisenflag.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            relative = isinstance(node, ast.ImportFrom) and node.level
+            absolute = isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "heisenflag" for a in node.names)
+            if relative or absolute:
+                assert node in tree.body, f"{path.name}:{node.lineno} imports in a body"
+        graph[path.stem] = {node.module for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.level}
+    while graph:
+        leaves = [m for m, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, f"import cycle among {sorted(graph)}"
+        for m in leaves:
+            del graph[m]
+
+
 def test_module_entry_point(tmp_path):
     proc = run_module("report", "--out", str(tmp_path / "missing"))
     assert proc.returncode == EXIT_CONFIG
@@ -421,11 +460,13 @@ def test_non_finite_rows_report_nan_constants(tmp_path, expr):
     assert any(np.isnan(v) for v in sym0.values())
 
 
-@pytest.mark.parametrize("expr", ["1/(w1)", "1/(lam - 0.25)"])
+@pytest.mark.parametrize("expr", ["1/(w1)", "1/(lam - 0.25)", "2 + 1/(lam + 0.26)"])
 def test_non_finite_fiber_exits_numerical_naming_the_fiber(expr):
     # LAPACK printed `DLASCL ... illegal value` and the message was only
     # "SVD did not converge"; a table with an infinite entry warned in the
-    # FFT of its quantization first
+    # FFT of its quantization first. The last pole sits at the derivative
+    # stencil node 0.25 + 2 * 0.02 * 0.25 of fiber 0.25, a table that is
+    # quantized without being inverted
     proc = run_module("invert", "--kernel", f"expr: {expr}")
     assert proc.returncode == EXIT_NUMERICAL
     assert "lam=" in proc.stderr and "entries are not finite" in proc.stderr
@@ -460,6 +501,7 @@ def small_config(tmp_path_factory):
 @given(expression_trees(1), st.sampled_from([
     ("invert",), ("invert", "--strict-symmetric"), ("estimates",)]))
 @example(("10^200", None), ("invert",))  # sigma_min^2 raised OverflowError
+@example(("lam + 2.04", None), ("invert",))  # a singular node of the probe
 def test_commands_on_drawn_kernels_exit_by_contract(small_config, tree, command):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):

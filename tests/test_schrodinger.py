@@ -17,7 +17,6 @@ from heisenflag.fields import SampledField
 from heisenflag.grids import LineGrid, group_grid, self_dual_line
 from heisenflag.group import GroupPoint, group_inv, group_mul
 from heisenflag.schrodinger import (
-    FiberOperator,
     StateVector,
     big_c_fun,
     c_fun,
@@ -28,6 +27,7 @@ from heisenflag.schrodinger import (
     pi_point,
     save_operator,
 )
+from heisenflag.symbols import FiberOperator
 from heisenflag.transform import central_slice_energy, convolve, gaussian_field, spike_field
 
 
