@@ -451,6 +451,11 @@ def main(argv: "list[str] | None" = None) -> int:
     except (FiberInversionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # an --out that cannot hold the run's artifacts, e.g. under a regular
+        # file, or a run.json that is a directory; the error names the path
+        print(f"configuration error: unusable run directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError as exc:
         # numpy names the refused allocation, e.g. "Unable to allocate 512. GiB"
         detail = f" ({exc})" if str(exc) else ""

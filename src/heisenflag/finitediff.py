@@ -1,9 +1,9 @@
 """Central finite-difference stencils on batched point clouds.
 
-Derivative estimates back the seminorm scans and the inverse-fiber
-derivative identities, where the differentiated object is only available
-through a callable. Everything here is plain composed one-dimensional
-stencils; mixed partials take the tensor product of the per-axis rules.
+Derivative estimates back `Spectrum.derivatives`, where a family is only
+available through a callable, and the inverse-fiber lam-derivatives.
+Everything here is plain composed one-dimensional stencils; mixed
+partials take the tensor product of the per-axis rules.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 # one-sided accuracy would waste the parity bonus; stay symmetric and
 # size the stencil so every order comes out 4th-order accurate
 _TARGET_ACCURACY = 4
+
+# the step of every difference, relative to the scale of its coordinate
+H_REL = 0.02
 
 
 @lru_cache(maxsize=None)
@@ -55,19 +58,15 @@ def stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, (weights + (-1) ** order * weights[::-1]) / 2
 
 
-def displacement_cloud(alpha: Sequence[int], spacing: Sequence[float] | float,
-                       dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product stencil for the mixed partial d^alpha on R^dim.
+def displacement_cloud(alpha: Sequence[int], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product stencil for the mixed partial d^alpha on R^dim, unit spacing.
 
-    Returns displacements (K, dim) and weights (K,) already divided by
-    the spacing powers, so `values @ weights` estimates the derivative.
+    Returns integer displacements (K, dim) and weights (K,), so that
+    `values @ weights` estimates the derivative at unit steps.
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != dim:
         raise ValueError(f"alpha length {len(alpha)} != dim {dim}")
-    h = np.broadcast_to(np.asarray(spacing, dtype=float), (dim,))
-    if np.any(h <= 0):
-        raise ValueError("spacing must be positive")
     disp = np.zeros((1, dim))
     weights = np.ones(1)
     for axis, a in enumerate(alpha):
@@ -75,21 +74,26 @@ def displacement_cloud(alpha: Sequence[int], spacing: Sequence[float] | float,
             continue
         off, w = stencil(a)
         shift = np.zeros((len(off), dim))
-        shift[:, axis] = off * h[axis]
+        shift[:, axis] = off
         disp = (disp[:, None, :] + shift[None, :, :]).reshape(-1, dim)
-        weights = (weights[:, None] * (w / h[axis] ** a)[None, :]).ravel()
+        weights = (weights[:, None] * w[None, :]).ravel()
     return disp, weights
 
 
 def partial_cloud(fun: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-                  alpha: Sequence[int], spacing: Sequence[float] | float) -> np.ndarray:
+                  alpha: Sequence[int], spacing: np.ndarray | float) -> np.ndarray:
     """Mixed partial d^alpha fun at each row of points, one batched call.
 
     `fun` maps an (N, dim) array to N values; the full shifted cloud is
-    evaluated in a single call so vectorized callables stay fast.
+    evaluated in a single call so vectorized callables stay fast. The
+    spacing is a scalar, one step per axis (dim,) or one per row and axis
+    (N, dim); every step must be positive.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    disp, weights = displacement_cloud(alpha, spacing, points.shape[1])
-    cloud = points[:, None, :] + disp[None, :, :]
+    disp, weights = displacement_cloud(alpha, points.shape[1])
+    h = np.broadcast_to(np.asarray(spacing, dtype=float), points.shape)
+    if not np.all(h > 0):
+        raise ValueError("spacing must be positive")
+    cloud = points[:, None, :] + disp[None, :, :] * h[:, None, :]
     vals = np.asarray(fun(cloud.reshape(-1, points.shape[1])))
-    return vals.reshape(points.shape[0], len(weights)) @ weights
+    return vals.reshape(-1, len(weights)) @ weights / np.prod(h ** alpha, axis=1)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .finitediff import stencil
+from .finitediff import H_REL, stencil
 from .grids import LineGrid
 from .schrodinger import gramian, hs_norm, save_operator
 from .transform import convolve
@@ -395,23 +395,26 @@ def verify_inverse(result: InversionResult) -> dict:
     return report
 
 
-# the central-frequency step of the derivative stencils, relative to |lam|
-H_REL = 0.02
-
-
-def _inverse_derivatives(spec, fiber: Fiber, m_max: int) -> list:
-    """[B, d_lam B, ..., d_lam^m_max B] at fixed table coordinates.
-
-    Each node that carries a nonzero weight for some order <= m_max is
-    quantized once, so A^(j) reads its weights off `stencil(j)`. The
-    Leibniz rule on AB = I gives, from the record's B alone,
-    B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
-    """
+def _stencil_nodes(spec, fiber: Fiber, m_max: int) -> dict:
+    """Matrices A(lam + o h), h = H_REL |lam|, of each offset o that carries
+    a nonzero weight for some order <= m_max, each quantized once."""
     lam, grid = fiber.b.lam, fiber.b.grid
+    if lam == 0.0:
+        raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
     used = {o for k in range(1, m_max + 1) for o, w in zip(*stencil(k)) if w}
-    nodes = {o: kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
-             for o in sorted(used)}
+    return {o: kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
+            for o in sorted(used)}
+
+
+def _inverse_derivatives(fiber: Fiber, nodes: dict, m_max: int) -> list:
+    """[B, d_lam B, ..., d_lam^m_max B] at fixed table coordinates.
+
+    A^(j) reads its weights off `stencil(j)` over the `_stencil_nodes`
+    matrices. The Leibniz rule on AB = I gives, from the record's B alone,
+    B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
+    """
+    h = H_REL * abs(fiber.b.lam)
     da, db = [None], [fiber.b.matrix]
     for k in range(1, m_max + 1):
         off, wts = stencil(k)
@@ -421,18 +424,8 @@ def _inverse_derivatives(spec, fiber: Fiber, m_max: int) -> list:
     return db
 
 
-def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
-    """Rows |lam|^k ||B^(k)|| of one inverted-fiber record, k = 1..m_max.
-
-    `rounding_floor`, size * eps * sigma_max / sigma_min^2 * sum |w_o| / h^k,
-    is ||B||^2 times the rounding noise of A^(k): each quantized node is
-    exact to size * eps * ||A||, summed with weights w_o / h^k. A norm at
-    or below it is noise, and the row reports `zero_to_rounding`;
-    dilation-invariant families land there at every lam.
-    """
+def _derivative_rows(fiber: Fiber, nodes: dict, m_max: int) -> list:
     lam, grid = fiber.b.lam, fiber.b.grid
-    if lam == 0.0:
-        raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
     # sigma_min = mant 2^e: sigma_min^2 leaves the float range for families
     # scaled by 1e-170 or 1e200, mant^2 does not, and the power of two
@@ -441,7 +434,7 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     noise = np.ldexp(grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
                      / mant ** 2, -2 * e)
     rows = []
-    for k, db in enumerate(_inverse_derivatives(spec, fiber, m_max)[1:], 1):
+    for k, db in enumerate(_inverse_derivatives(fiber, nodes, m_max)[1:], 1):
         floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)
         db_norm = float(np.linalg.norm(db, 2))
         # exact: the quantization is linear, so d(symbol) = symbol(d(matrix))
@@ -454,6 +447,39 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     return rows
 
 
+def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
+    """Rows |lam|^k ||B^(k)|| of one inverted-fiber record, k = 1..m_max.
+
+    `rounding_floor`, size * eps * sigma_max / sigma_min^2 * sum |w_o| / h^k,
+    is ||B||^2 times the rounding noise of A^(k): each quantized node is
+    exact to size * eps * ||A||, summed with weights w_o / h^k. A norm at
+    or below it is noise, and the row reports `zero_to_rounding`;
+    dilation-invariant families land there at every lam.
+    """
+    return _derivative_rows(fiber, _stencil_nodes(spec, fiber, m_max), m_max)
+
+
+def _leibniz_probe(fiber: Fiber, nodes: dict, row: dict) -> dict:
+    """||d B + B (d A) B|| with d the order-1 stencil of the LU-inverted
+    nodes; `identity_rel` only when the fiber's order-1 `row` is resolved."""
+    lam, b = fiber.b.lam, fiber.b.matrix
+    h = H_REL * abs(lam)
+    da = db = 0.0
+    for o, w in zip(*stencil(1)):
+        if w:  # the order-1 stencil weighs its center by zero
+            da = da + w / h * nodes[o]
+            try:
+                db = db + w / h * np.linalg.inv(nodes[o])
+            except np.linalg.LinAlgError as exc:  # name the node, as invert_fiber does
+                raise np.linalg.LinAlgError(f"fiber at lam={lam + o * h:g}: {exc}") from exc
+    residual = float(np.linalg.norm(db + b @ da @ b, 2))
+    probe = {"lam": lam, "identity_residual": residual}
+    if not row["zero_to_rounding"]:
+        probe["identity_rel"] = residual / max(float(np.linalg.norm(db, 2)),
+                                               row["derivative_norm"])
+    return probe
+
+
 def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     """Scaled inverse derivatives across a run's fibers, with a verdict.
 
@@ -463,11 +489,19 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     Only rows above their rounding floor are judged (`resolved`); an order
     whose rows are all zero to rounding is uniform. The `probe` checks the
     Leibniz rule at the fiber of largest |lam| against the order-1 stencil
-    of its LU-inverted nodes, with `identity_rel` only when that row is
-    resolved (below the floor it is a ratio of noise to noise).
+    of the LU-inverted nodes that fiber's check quantized, with
+    `identity_rel` only when that row is resolved (below the floor it is a
+    ratio of noise to noise).
     """
-    checks = [lambda_derivative_check(result.spec, result.fibers[lam], m_max)
-              for lam in result.lam_values]
+    at = result.lam_values.index(max(result.lam_values, key=abs))
+    checks = []
+    for i, lam in enumerate(result.lam_values):
+        fiber = result.fibers[lam]
+        nodes = _stencil_nodes(result.spec, fiber, m_max)
+        checks.append(_derivative_rows(fiber, nodes, m_max))
+        if i == at:
+            probe = _leibniz_probe(fiber, nodes, checks[-1][0])
+        del nodes  # dense matrices: hold one fiber's nodes at a time
     orders = {}
     for order in range(1, m_max + 1):
         rows = [check[order - 1] for check in checks]
@@ -477,22 +511,5 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
         orders[order] = {"rows": rows, "resolved": len(scaled),
                          "max_scaled": top, "median_scaled": med,
                          "uniform": top <= 4.0 * med}
-    lam = max(result.lam_values, key=abs)
-    b, h = result.fibers[lam].b.matrix, H_REL * abs(lam)
-    da = db = 0.0
-    for o, w in zip(*stencil(1)):
-        if w:  # the order-1 stencil weighs its center by zero
-            a = kn_quantize(result.spec.fiber_table(lam + o * h, result.grid)).matrix
-            da = da + w / h * a
-            try:
-                db = db + w / h * np.linalg.inv(a)
-            except np.linalg.LinAlgError as exc:  # name the node, as invert_fiber does
-                raise np.linalg.LinAlgError(f"fiber at lam={lam + o * h:g}: {exc}") from exc
-    residual = float(np.linalg.norm(db + b @ da @ b, 2))
-    probe = {"lam": lam, "identity_residual": residual}
-    row = checks[result.lam_values.index(lam)][0]
-    if not row["zero_to_rounding"]:
-        probe["identity_rel"] = residual / max(float(np.linalg.norm(db, 2)),
-                                               row["derivative_norm"])
     return {"orders": orders, "probe": probe,
             "uniform": all(o["uniform"] for o in orders.values())}

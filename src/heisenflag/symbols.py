@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import SampledField
-from .finitediff import partial_cloud
+from .finitediff import H_REL, partial_cloud
 from .grids import Axis, Grid, LineGrid, flat_coords, offset_table
 from .jets import evaluate, truncation
 from .transform import fourier, inverse_fourier
@@ -179,9 +179,9 @@ def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
 class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
-    Subclasses implement `_evaluate(W, lam)`. Families with an analytic
-    form also implement `derivatives`; without it the scans fall back to
-    finite differences. Whether a fiber is Hermitian is a property of its
+    Subclasses implement `_evaluate(W, lam)`. `derivatives` takes finite
+    differences of it, and families with an analytic form override it
+    with exact rows. Whether a fiber is Hermitian is a property of its
     quantized matrix, which strict inversion measures, not of the family.
     """
 
@@ -203,9 +203,24 @@ class Spectrum:
         raise NotImplementedError
 
     def derivatives(self, indices: Sequence, W: np.ndarray,
-                    lam: np.ndarray | float) -> "np.ndarray | None":
-        """Rows d_w^alpha d_lam^beta a(W, lam), one per (alpha, beta)."""
-        return None
+                    lam: np.ndarray | float) -> np.ndarray:
+        """Rows d_w^alpha d_lam^beta a(W, lam), one per (alpha, beta).
+
+        Central differences, one batched call per index: each row steps w
+        by H_REL (||w|| + sqrt|lam|) and lam by H_REL |lam|, clear of the
+        |lam| kink at zero. A row at lam = 0 has no step and raises
+        `ValueError` before anything is evaluated.
+        """
+        W, lam = self._rows(W, lam)
+        h_w = H_REL * (np.linalg.norm(W, axis=1) + np.sqrt(np.abs(lam)))
+        h = np.column_stack([h_w] * (2 * self.n) + [H_REL * np.abs(lam)])
+
+        def joint(q):
+            return self(q[:, :-1], q[:, -1])
+
+        q = np.column_stack([W, lam])
+        return np.array([partial_cloud(joint, q, (*alpha, beta), h)
+                         for alpha, beta in indices])
 
     def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
         """Symbol table of the fiber at lam; table-backed families override it."""
@@ -401,34 +416,6 @@ def _shell_points(n: int, radius: float, directions: int) -> np.ndarray:
     return radius * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _normalized_derivative(spec: Spectrum, vals: "np.ndarray | None",
-                           alpha, beta, lam, pts) -> np.ndarray:
-    """Normalized derivative at shell blocks `pts` of shape (shells, m, 2n).
-
-    `vals` holds the analytic derivative at the flattened rows; without
-    it, finite differences of `spec` step each shell block with its own
-    spacing, scaled to the block's radius.
-    """
-    shells, m, dim = pts.shape
-    if vals is not None:
-        vals = vals.reshape(shells, m)
-    else:
-        def joint(q):
-            return spec(q[:, :-1], q[:, -1])
-
-        blocks = []
-        for block in pts:
-            r = float(np.linalg.norm(block[0]))
-            h_w = 0.02 * (r + np.sqrt(abs(lam)))
-            # the lam step must stay clear of the |lam| kink at zero
-            h = [h_w] * dim + [0.02 * abs(lam)]
-            q = np.concatenate([block, np.full((m, 1), lam)], axis=1)
-            blocks.append(partial_cloud(joint, q, (*alpha, beta), h))
-        vals = np.stack(blocks)
-    r = np.linalg.norm(pts, axis=2)
-    return np.abs(vals) * r ** sum(alpha) * (r ** 2 + abs(lam)) ** beta
-
-
 def default_multi_indices(n: int) -> list:
     """Derivative multi-indices (alpha, beta) scanned by default."""
     out = [((0,) * 2 * n, 1)]
@@ -462,15 +449,16 @@ def flag_estimate_report(spec: Spectrum,
         lam_values = [s * 2.0 ** j for j in range(-3, 4) for s in (1, -1)]
     radii = np.geomspace(rmin, rmax, shells)
     pts = np.stack([_shell_points(spec.n, r, directions) for r in radii])
+    r = np.linalg.norm(pts, axis=2)
     indices, lam_values = list(indices), list(lam_values)
-    # one jet pass per lam gives every index; rows stay ordered by index
+    # one derivatives call per lam gives every index; rows stay ordered by index
     table = np.empty((len(indices), len(lam_values), shells))
     for j, lam in enumerate(lam_values):
         derived = spec.derivatives(indices, pts.reshape(-1, 2 * spec.n), lam)
         for i, (alpha, beta) in enumerate(indices):
-            table[i, j] = np.max(_normalized_derivative(
-                spec, None if derived is None else derived[i],
-                alpha, beta, lam, pts), axis=1)
+            normalized = (np.abs(derived[i].reshape(r.shape)) * r ** sum(alpha)
+                          * (r ** 2 + abs(lam)) ** beta)
+            table[i, j] = np.max(normalized, axis=1)
     report = SeminormReport(blowup_factor=blowup_factor)
     for (alpha, beta), row in zip(indices, table):
         for lam, shell_sup in zip(lam_values, row):

@@ -267,7 +267,7 @@ class GramSpectrum(Spectrum):
 
 class CallableSpectrum(Spectrum):
     """A family given by a plain function of (W, lam) and no derivatives,
-    so the seminorm scans take their finite-difference path."""
+    so the seminorm scans read the base class's finite differences."""
 
     def __init__(self, n: int, fun):
         super().__init__(n)

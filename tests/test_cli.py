@@ -313,6 +313,21 @@ def test_out_of_memory_exits_config(tmp_path, capsys, monkeypatch):
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("command", ["invert", "estimates", "identities", "report"])
+def test_unusable_run_directory_exits_config(tmp_path, capsys, command):
+    # the artifacts cannot be written under a regular file, and a run.json
+    # that is a directory cannot be read
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    if command == "report":
+        (tmp_path / "run" / "run.json").mkdir(parents=True)
+        out = tmp_path / "run"
+    assert main([command, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("configuration error") and str(out) in err
+
+
 def run_module(*args, **env_vars):
     src = Path(heisenflag.__file__).resolve().parent.parent
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(

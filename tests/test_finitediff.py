@@ -68,8 +68,8 @@ def test_fourth_order_convergence():
 
 
 def test_displacement_cloud_shapes():
-    disp, w = displacement_cloud((1, 0, 2), (0.1, 0.2, 0.3), 3)
+    disp, w = displacement_cloud((1, 0, 2), 3)
     assert disp.shape == (25, 3) and w.shape == (25,)
     assert np.all(disp[:, 1] == 0.0)
-    disp0, w0 = displacement_cloud((0, 0), 0.1, 2)
+    disp0, w0 = displacement_cloud((0, 0), 2)
     assert disp0.shape == (1, 2) and w0[0] == 1.0

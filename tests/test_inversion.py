@@ -18,6 +18,7 @@ from heisenflag.inversion import (
     FiberInversionError,
     SymmetryError,
     _inverse_derivatives,
+    _stencil_nodes,
     derivative_report,
     gramian_lower_bound,
     invert_fiber,
@@ -294,6 +295,12 @@ def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
         lambda_derivative_check(res.spec, res.fibers[1.0], m_max)
         assert calls == [1.0 + o * H_REL for o in offsets]  # h = H_REL |lam|
         calls.clear()
+    # the probe LU-inverts the nodes its fiber's check quantized: the
+    # default ladder's 8 fibers take 4 nodes each and nothing more
+    ladder = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    calls.clear()
+    derivative_report(ladder, m_max=1)
+    assert len(calls) == 32
 
 
 def test_reconstructed_family_interpolates():
@@ -342,7 +349,7 @@ def test_leibniz_derivatives_match_node_inverses(n, count):
     grid = LineGrid(count, 4.0, n)
     res = invert_flag(temp, [0.5, -1.0, 2.0], grid)
     for lam, fiber in res.fibers.items():
-        derived = _inverse_derivatives(temp, fiber, 3)
+        derived = _inverse_derivatives(fiber, _stencil_nodes(temp, fiber, 3), 3)
         for order in (1, 2, 3):
             ref = node_inverse_derivative(temp, lam, grid, order)["db"]
             gap = np.linalg.norm(derived[order] - ref, 2)
@@ -403,7 +410,7 @@ def test_gramian_lower_bound_on_random_banded_fields():
         assert chk["worst_margin"] > -1e-8
 
 
-def test_reconstructed_inverse_flag_scan_windowed():
+def test_reconstructed_inverse_flag_scan_windowed(monkeypatch):
     # table-backed scans stay on the lattice footprint; the far field is
     # covered separately by the closed-form reciprocal family.  The grid
     # frequency band (N / 4L = 4) must enclose the scan reach plus the
@@ -414,12 +421,23 @@ def test_reconstructed_inverse_flag_scan_windowed():
     indices = [((0, 0), 0), ((1, 0), 0), ((0, 1), 0),
                ((2, 0), 0), ((1, 1), 0), ((0, 2), 0),
                ((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]
+    calls = []
+    eval_at = SampledField.eval_at
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return eval_at(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampledField, "eval_at", counted)
     rep = flag_estimate_report(
         L, indices=indices, lam_values=[1.0, -1.0, 2.0, -2.0],
         rmin=0.02, rmax=2.0, shells=9, directions=8)
     bad = [r for r in rep.rows if r.verdict != "ok"]
     assert not bad
     assert L.clipped_rows == 0
+    # one batched difference per index and lam: one table evaluation per
+    # lam node of its stencil (6 w-only indices + 3 x 5 nodes, at 4 lam)
+    assert len(calls) <= 84
 
 
 def test_export_artifacts_deterministic(tmp_path):
