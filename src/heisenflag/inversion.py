@@ -3,11 +3,15 @@
 The pipeline samples a symbol family along each requested fiber, quantizes,
 and inverts the matrix through one SVD. That SVD gives one `Fiber` record
 per fiber: the inverse B plus its smallest singular value and condition
-number. `InversionResult.fibers` holds these records, and the derivative
-scan, the glued inverse family and the verification read them instead of
-factorizing a fiber again (the derivative probe LU-inverts stencil nodes);
-the record keeps no A or symbol table, so its memory stays one matrix per
-fiber. Together with the two-sided residuals the diagnostics decide
+number. Work is keyed on a table's content, not on lam: a fiber whose
+table equals an earlier one's reuses that record, so each distinct table
+is quantized and factorized once, and the records of equal tables share
+one B matrix. `InversionResult.fibers` holds these records, and the
+derivative scan, the glued inverse family and the verification read them
+instead of factorizing a fiber again (the derivative probe LU-inverts
+stencil nodes, and the scan quantizes each distinct node table once); the
+record keeps no A or symbol table, so its memory stays one matrix per
+distinct table. Together with the two-sided residuals the diagnostics decide
 whether the family is uniformly invertible: a fiber can be perfectly
 invertible as a matrix while its symbol vanishes on the flag boundary,
 so uniformity is judged against an absolute singular-value floor rather
@@ -25,7 +29,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -206,6 +211,13 @@ class InversionResult:
         return written
 
 
+def _table_key(values: np.ndarray) -> int:
+    """CRC-32 of a table's bytes: equal keys nominate equal tables, which
+    `np.array_equal` then confirms. The interpreter loads zlib at start,
+    while hashlib would map OpenSSL, about 3.7 MiB resident."""
+    return zlib.crc32(np.ascontiguousarray(values))
+
+
 def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
                 sigma_floor: float = SIGMA_FLOOR,
                 strict: bool = False) -> InversionResult:
@@ -219,13 +231,32 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     every fiber matrix to be Hermitian (relative skew at most 1e-10),
     measured per fiber before its SVD. A symbol table with a non-finite
     entry raises `LinAlgError` naming the fiber in `kn_quantize`.
+
+    One record per distinct table: a fiber whose table equals an earlier
+    one's (the table at -lam equals the one at lam for an even family, and
+    a family that sees lam only through the parabolic frame repeats it at
+    4 lam) is neither quantized nor factorized again. Its `Fiber` carries
+    its own lam and shares the earlier B matrix, and its row repeats the
+    earlier diagnostics, which the same matrix would reproduce bit for bit.
     """
     out = InversionResult(grid=grid, cond_limit=cond_limit,
                           sigma_floor=sigma_floor, spec=spec)
     eye = np.eye(grid.size)
+    seen: dict = {}     # table key -> [(Fiber, FiberRow)], one per distinct table
     for lam in lam_values:
         lam = float(lam)
         table = spec.fiber_table(lam, grid)
+        same = seen.setdefault(_table_key(table.values), [])
+        # an equal key nominates an earlier table, sampled again to compare:
+        # holding every distinct table would cost one more matrix each
+        hit = next((r for r in same if np.array_equal(
+            spec.fiber_table(r[0].b.lam, grid).values, table.values)), None)
+        if hit is not None:
+            first, row = hit
+            out.rows.append(replace(row, lam=lam))
+            out.fibers[lam] = first._replace(
+                b=FiberOperator(lam, grid, first.b.matrix))
+            continue
         a = kn_quantize(table)
         fiber = invert_fiber(a, cond_limit, strict)
         b, sigma_min, cond = fiber
@@ -234,14 +265,16 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
         rr = np.linalg.norm(ab - eye)
         rl = np.linalg.norm(b.matrix @ a.matrix - eye)
         prod = kn_symbol_of(FiberOperator(lam, grid, ab))
-        out.rows.append(FiberRow(
+        row = FiberRow(
             lam=lam, sigma_min=sigma_min, sigma_max=sigma_min * cond, cond=cond,
             symbol_min=float(np.min(np.abs(table.values))),
             inverse_op_norm=1.0 / sigma_min, inverse_hs_norm=hs_norm(b),
             residual_right=float(rr), residual_left=float(rl),
             residual_sup=float(np.max(np.abs(prod.values - 1.0))),
-            invertible=sigma_min >= sigma_floor))
+            invertible=sigma_min >= sigma_floor)
+        out.rows.append(row)
         out.fibers[lam] = fiber
+        same.append((fiber, row))
     return out
 
 
@@ -325,8 +358,11 @@ class ReconstructedSpectrum(Spectrum):
         self.cond_limit = cond_limit
         self.clipped_rows = 0
         self._tables: dict[float, SymbolGrid] = {}
+        self._b_tables: dict[int, tuple] = {}      # id(B) -> (B, its table values)
 
     def inverse_table(self, lam: float) -> SymbolGrid:
+        """Table of the inverse fiber at lam; records that share one B (equal
+        forward tables) read its table once."""
         lam = float(lam)
         tab = self._tables.get(lam)
         if tab is None:
@@ -334,7 +370,10 @@ class ReconstructedSpectrum(Spectrum):
             if fiber is None:
                 a = kn_quantize(self.base.fiber_table(lam, self.grid))
                 fiber = invert_fiber(a, self.cond_limit)
-            tab = self._tables[lam] = kn_symbol_of(fiber.b)
+            b = fiber.b.matrix
+            if id(b) not in self._b_tables:     # B is held, so its id stays its own
+                self._b_tables[id(b)] = (b, kn_symbol_of(fiber.b).values)
+            tab = self._tables[lam] = SymbolGrid(lam, self.grid, self._b_tables[id(b)][1])
         return tab
 
     def _evaluate(self, W, lam):
@@ -395,16 +434,38 @@ def verify_inverse(result: InversionResult) -> dict:
     return report
 
 
-def _stencil_nodes(spec, fiber: Fiber, m_max: int) -> dict:
+def _stencil_nodes(spec, fiber: Fiber, m_max: int, held: "dict | None" = None) -> dict:
     """Matrices A(lam + o h), h = H_REL |lam|, of each offset o that carries
-    a nonzero weight for some order <= m_max, each quantized once."""
+    a nonzero weight for some order <= m_max, each quantized once.
+
+    `held` carries nodes from one call to the next: {sgn(lam) o: (table
+    key, table values, matrix)}, keyed by the position of the node
+    lam (1 + sgn(lam) o H_REL) relative to its fiber. A node whose table
+    equals the held one at its position reuses that matrix, and the held
+    entry is then replaced by this fiber's node, so one fiber of nodes is
+    held at a time. A family that sees lam only through the frame repeats
+    a fiber's nodes at -lam and 4 lam, each at the same position.
+    """
     lam, grid = fiber.b.lam, fiber.b.grid
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
     used = {o for k in range(1, m_max + 1) for o, w in zip(*stencil(k)) if w}
-    return {o: kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
-            for o in sorted(used)}
+    held = {} if held is None else held
+    nodes = {}
+    for o in sorted(used):
+        table = spec.fiber_table(lam + o * h, grid)
+        key = _table_key(table.values)
+        at = o if lam > 0 else -o
+        prev = held.pop(at, None)
+        if prev is None or prev[0] != key or not np.array_equal(prev[1], table.values):
+            prev = None     # let the held matrix go before quantizing
+            matrix = kn_quantize(table).matrix
+        else:
+            matrix = prev[2]
+        held[at] = (key, table.values, matrix)
+        nodes[o] = matrix
+    return nodes
 
 
 def _inverse_derivatives(fiber: Fiber, nodes: dict, m_max: int) -> list:
@@ -491,17 +552,32 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     Leibniz rule at the fiber of largest |lam| against the order-1 stencil
     of the LU-inverted nodes that fiber's check quantized, with
     `identity_rel` only when that row is resolved (below the floor it is a
-    ratio of noise to noise).
+    ratio of noise to noise). Rows are computed for every fiber, also where
+    records share one B: for a family that sees lam only through the frame,
+    ||B^(k)|| at 4 lam is the one at lam times 4^-k, but reading it off
+    would be a second code path for a few milliseconds.
     """
-    at = result.lam_values.index(max(result.lam_values, key=abs))
-    checks = []
-    for i, lam in enumerate(result.lam_values):
-        fiber = result.fibers[lam]
-        nodes = _stencil_nodes(result.spec, fiber, m_max)
-        checks.append(_derivative_rows(fiber, nodes, m_max))
+    lams = result.lam_values
+    at = lams.index(max(lams, key=abs))
+    # fibers that share one B visit their nodes in turn, so a family seeing
+    # lam only through the frame quantizes each distinct node once
+    first: dict = {}
+    group = [first.setdefault(id(result.fibers[lam].b.matrix), i)
+             for i, lam in enumerate(lams)]
+    visits = sorted(range(len(lams)), key=group.__getitem__)
+    held: dict = {}     # dense matrices: the previous fiber's nodes only
+    checks = [None] * len(lams)
+    for i, after in zip(visits, visits[1:] + [None]):
+        fiber = result.fibers[lams[i]]
+        nodes = _stencil_nodes(result.spec, fiber, m_max, held)
+        if after is None or group[after] != group[i]:
+            # the next fiber's table differs from this one's, and so,
+            # as a rule, do its nodes: hold no tables for it
+            held.clear()
+        checks[i] = _derivative_rows(fiber, nodes, m_max)
         if i == at:
-            probe = _leibniz_probe(fiber, nodes, checks[-1][0])
-        del nodes  # dense matrices: hold one fiber's nodes at a time
+            probe = _leibniz_probe(fiber, nodes, checks[i][0])
+        del nodes   # only `held` keeps the nodes the next fiber may reuse
     orders = {}
     for order in range(1, m_max + 1):
         rows = [check[order - 1] for check in checks]

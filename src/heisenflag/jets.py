@@ -74,13 +74,19 @@ class Truncation:
         self._scratch: dict = {}
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two jets; a fresh array, never a view of scratch."""
+        """Product of two jets; a fresh array, never a view of scratch.
+
+        Jets on different broadcast shapes multiply into their common
+        shape."""
         if self.size == 1:
             return a * b
         left = np.take(a, self._left, axis=0, mode="clip", out=self._buffer(a, 0))
         right = np.take(b, self._right, axis=0, mode="clip", out=self._buffer(b, 1))
-        prod = left if left.dtype == np.result_type(left, right) else right
-        np.multiply(left, right, out=prod)
+        if left.shape != right.shape:
+            prod = left * right
+        else:
+            prod = left if left.dtype == np.result_type(left, right) else right
+            np.multiply(left, right, out=prod)
         return np.add.reduceat(prod, self._starts, axis=0)
 
     def _buffer(self, x: np.ndarray, side: int) -> np.ndarray:
@@ -101,10 +107,12 @@ class Truncation:
 
     def series(self, u: np.ndarray, coeffs: list) -> np.ndarray:
         """sum_k coeffs[k] (u - u0)^k by Horner's rule."""
-        h = u.copy()
-        h[0] = 0
         out = np.zeros(u.shape, np.result_type(u, *coeffs))
         out[0] = coeffs[-1]
+        if len(coeffs) == 1:
+            return out
+        h = u.copy()
+        h[0] = 0
         for c in coeffs[-2::-1]:
             out = self.mul(out, h)
             out[0] += c
@@ -216,7 +224,7 @@ def is_slot(x) -> bool:
 # -- one pass --------------------------------------------------------------------
 
 def _is_jet(x) -> bool:
-    return np.ndim(x) == 2
+    return isinstance(x, np.ndarray) and x.ndim > 0    # constants are scalars
 
 
 def _add(xs: list):
@@ -224,9 +232,9 @@ def _add(xs: list):
     jets = [x for x in xs if _is_jet(x)]
     if not jets:
         return const
-    out = jets[0].astype(np.result_type(const, *jets))
-    for x in jets[1:]:
-        out += x
+    dtype = np.result_type(const, *jets)
+    # a tape sum has two operands; their sum spans both broadcast shapes
+    out = np.add(*jets, dtype=dtype) if len(jets) == 2 else jets[0].astype(dtype)
     out[0] += const
     return out
 
@@ -284,7 +292,12 @@ def _powe(tr: Truncation, b, e):
     if not _is_jet(e):              # a constant exponent such as sqrt(2)
         return _pow(tr, b, e)
     out = _exp(tr, _mul(tr, [e, _log(tr, b)]))
-    out[0] = (b[0] if _is_jet(b) else b) ** e[0]    # exact value, also at b0 = 0
+    # the exact value, also at b0 = 0. Jet operands are spread to one shape
+    # first, as scan rows are: numpy's vector pow for contiguous operands
+    # and its loop for broadcast ones may differ in the last bit
+    b0, e0 = (np.broadcast_to(x[0], out.shape[1:]).copy() if _is_jet(x) else x
+              for x in (b, e))
+    out[0] = b0 ** e0
     return out
 
 
@@ -301,16 +314,26 @@ def _abs(tr: Truncation, u):
 
 
 def evaluate(tape: list, tr: Truncation, columns: list):
-    """Jet of the tape's root at rows given as one (m,) array per variable.
+    """Jet of the tape's root at the points of broadcastable columns.
 
-    Returns a (tr.size, m) array of Taylor coefficients.
+    One real array per variable. Rows of a scan are the case of (m,)
+    columns; a tensor lattice passes each axis as a column shaped to
+    broadcast along its own dimension, so every instruction runs on the
+    smallest shape its operands span. A variable's jet keeps its column's
+    shape, and the root is broadcast to the lattice at the end. Returns a
+    (tr.size, *shape) array of Taylor coefficients, with shape the
+    columns' common broadcast shape; a read-only view where the root spans
+    fewer axes than the lattice.
     """
-    m = len(columns[0])
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    ndim = max(c.ndim for c in columns)
+    columns = [c.reshape((1,) * (ndim - c.ndim) + c.shape) for c in columns]
+    shape = (tr.size, *np.broadcast_shapes(*(c.shape for c in columns)))
     vals: list = []
     for op, args, param in tape:
         xs = [vals[i] for i in args]
         if op == "var":
-            out = np.zeros((tr.size, m))
+            out = np.zeros((tr.size, *columns[param].shape))
             out[0] = columns[param]
             unit = [0] * len(columns)
             unit[param] = 1
@@ -336,7 +359,7 @@ def evaluate(tape: list, tr: Truncation, columns: list):
         vals.append(out)
     root = vals[-1]
     if _is_jet(root):
-        return root
-    out = np.zeros((tr.size, m), np.result_type(root))
+        return root if root.shape == shape else np.broadcast_to(root, shape)
+    out = np.zeros(shape, np.result_type(root))
     out[0] = root                   # a constant expression
     return out

@@ -199,6 +199,11 @@ class Spectrum:
     def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
         return self._evaluate(*self._rows(W, lam))
 
+    def on_lattice(self, axes: list, lam: float) -> np.ndarray:
+        """Values on the tensor lattice of one 1-d array per covariable at
+        one lam, flattened row-major with the last axis fastest."""
+        return self(flat_coords(axes), lam)
+
     def _evaluate(self, W: np.ndarray, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -248,18 +253,35 @@ class SympySpectrum(Spectrum):
 
     def derivatives(self, indices, W, lam):
         W, lam = self._rows(W, lam)
+        return self._jet_rows(indices, [*W.T, lam])
+
+    def _jet_rows(self, indices, columns: list) -> np.ndarray:
+        """Rows d_w^alpha d_lam^beta at the points of broadcastable columns
+        w1..w_{2n}, lam; one row per index, on their broadcast shape."""
         indices = [(tuple(int(a) for a in alpha), int(beta)) for alpha, beta in indices]
         tr = truncation(2 * self.n, max((sum(a) for a, _ in indices), default=0),
                         max((b for _, b in indices), default=0))
         # rows off the family's domain come out NaN or inf, and the scans
         # report them `non-finite`; numpy need not warn about each one
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            jet = evaluate(self._tape, tr, [*W.T, lam])
-        rows = [tr.index[(*alpha, beta)] for alpha, beta in indices]
-        return (tr.factorials[rows, None] * jet[rows]).astype(complex)
+            jet = evaluate(self._tape, tr, columns)
+        out = np.empty((len(indices), *jet.shape[1:]), complex)
+        for row, (alpha, beta) in zip(out, indices):
+            k = tr.index[(*alpha, beta)]
+            np.multiply(tr.factorials[k], jet[k], out=row)
+        return out
 
     def _evaluate(self, W, lam):
         return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
+
+    def on_lattice(self, axes, lam):
+        """One jet pass over the axes as broadcast columns: each
+        instruction runs on the axes it depends on, and the lattice is
+        filled once, at the root."""
+        d = len(axes)
+        columns = [np.reshape(ax, (1,) * i + (-1,) + (1,) * (d - 1 - i))
+                   for i, ax in enumerate(axes)]
+        return self._jet_rows([((0,) * d, 0)], [*columns, lam])[0].reshape(-1)
 
     def derivative(self, alpha: Sequence[int], beta: int) -> Spectrum:
         alpha, beta = tuple(int(a) for a in alpha), int(beta)
@@ -298,7 +320,7 @@ def fiber_symbol(spec: Spectrum, lam: float, grid: LineGrid) -> SymbolGrid:
         raise ValueError("fiber symbols need a nonzero central frequency")
     if grid.dim != spec.n:
         raise ValueError(f"state dimension {grid.dim} != group rank {spec.n}")
-    vals = spec(flat_coords(fiber_axes(lam, grid)), -lam)
+    vals = spec.on_lattice(fiber_axes(lam, grid), -lam)
     return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
 
 

@@ -5,6 +5,8 @@ shared code with the package's fast paths) so that agreement between the
 two is evidence, not tautology.
 """
 
+import functools
+
 import numpy as np
 import sympy as sp
 
@@ -12,7 +14,9 @@ from heisenflag.fields import SampledField
 from heisenflag.finitediff import stencil
 from heisenflag.grids import Grid, LineGrid, flat_coords, flat_phase
 from heisenflag.group import GroupPoint
+from heisenflag import jets
 from heisenflag.inversion import invert_fiber
+from heisenflag.jets import evaluate, truncation
 from heisenflag.kernels import parse_tape
 from heisenflag.schrodinger import StateVector, _lambda_slice
 from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, kn_quantize, kn_symbol_of
@@ -362,6 +366,53 @@ def sympy_derivatives(spec, indices) -> dict:
             fn(*W.T, lam_), (len(W),)).astype(complex)
 
     return {(tuple(a), b): compiled(expr_of(tuple(a), b)) for a, b in indices}
+
+
+def term_magnitudes(spec, indices, W, lam) -> np.ndarray:
+    """Running-error scale of `spec.derivatives(indices, W, lam)`.
+
+    The same jets pushed through the tape with every value and coefficient
+    replaced by its absolute value: sums add magnitudes, products multiply
+    them, and a series sum_k c_k h^k in the increment h = u - u0 becomes
+    sum_k |c_k| |h|^k. Each row, scaled by m! like the derivatives, sums
+    the magnitudes of the terms that rounding acts on before they cancel;
+    a result computed in floating point is exact to a small multiple of
+    eps times it, even where the result itself is 0.
+    """
+    tape = spec._tape
+    tr = truncation(2 * spec.n, max(sum(a) for a, _ in indices),
+                    max(b for _, b in indices))
+    unit = truncation(1, tr.degree, 0)      # coefficient k of g(u0 + t) is g^(k)(u0)/k!
+    W = np.asarray(W, dtype=float)
+    columns = [*W.T, np.broadcast_to(np.asarray(lam, dtype=float), (len(W),))]
+    mags = []
+    for k, (op, args, param) in enumerate(tape):
+        ms = [mags[i] for i in args]
+        if op in ("var", "const"):
+            mag = np.abs(evaluate(tape[:k + 1], tr, columns))
+        elif op == "add":
+            mag = ms[0] + ms[1]
+        elif op == "mul":
+            mag = tr.mul(ms[0], ms[1])
+        elif op == "ipow":
+            mag = functools.reduce(tr.mul, [ms[0]] * param)
+        elif op in ("pow", "exp", "abs"):
+            u0, base = evaluate(tape[:args[0] + 1], tr, columns)[0], ms[0]
+            if op == "abs" and np.iscomplexobj(u0):
+                # the jet pass takes |u| as (u conj(u))^(1/2)
+                op, param = "pow", 0.5
+                u0, base = np.abs(u0) ** 2, tr.mul(base, base)
+            t = np.zeros((unit.size, len(W)), u0.dtype)
+            t[0], t[1] = u0, 1.0
+            rule = {"pow": jets._pow, "exp": jets._exp, "abs": jets._abs}[op]
+            coeffs = rule(unit, t, param) if op == "pow" else rule(unit, t)
+            mag = tr.series(base, list(np.abs(coeffs)))
+        else:
+            raise NotImplementedError(f"no magnitude rule for {op}")
+        mags.append(mag)
+    root = np.broadcast_to(mags[-1], (tr.size, len(W)))
+    rows = [tr.index[(*alpha, beta)] for alpha, beta in indices]
+    return tr.factorials[rows, None] * root[rows]
 
 
 def node_inverse_derivative(spec, lam: float, grid, order: int = 1,

@@ -165,6 +165,9 @@ def test_strict_mode_rejects_and_accepts():
     pert = make_spectrum("perturbed-identity", eps=0.3)
     with pytest.raises(SymmetryError):
         invert_flag(pert, [0.5], GRID, strict=True)
+    # also on a ladder whose tables repeat at -lam and 4 lam
+    with pytest.raises(SymmetryError, match="fiber at lam=0.25 is not Hermitian"):
+        invert_flag(pert, DYADIC, GRID, strict=True)
     gram = GramSpectrum(pert)
     res = invert_flag(gram, [0.5, -1.0], GRID, strict=True)
     assert res.uniformly_invertible
@@ -251,14 +254,7 @@ def test_verify_inverse_memory_at_rank_two():
     assert all(r["clipped_rows"] == 0 for r in report.values())
 
 
-def test_fiber_records_serve_every_consumer(monkeypatch):
-    # each fiber of the default ladder is inverted once, by invert_flag;
-    # the derivative scan calls invert_fiber at no order (its probe
-    # inverts the stencil nodes by LU), verification inverts nothing, and
-    # the glued family inverts a missing fiber once
-    cfg = ExperimentConfig()
-    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
-    assert len(res.fibers) == 8
+def count_inversions(monkeypatch) -> list:
     calls = []
 
     def counted(*args, **kwargs):
@@ -266,6 +262,28 @@ def test_fiber_records_serve_every_consumer(monkeypatch):
         return invert_fiber(*args, **kwargs)
 
     monkeypatch.setattr(inversion, "invert_fiber", counted)
+    return calls
+
+
+def test_fiber_records_serve_every_consumer(monkeypatch):
+    # each distinct table of the default ladder is inverted once, by
+    # invert_flag: perturbed-identity sees lam only through the parabolic
+    # frame, so the tables at +-lam and +-4 lam are equal and 2 of the 8
+    # fibers are factorized. The records of equal tables share one B and
+    # carry their own lam, which the derivative scan reads its nodes off.
+    # The scan calls invert_fiber at no order (its probe inverts the
+    # stencil nodes by LU), verification inverts nothing, and the glued
+    # family inverts a missing fiber once
+    cfg = ExperimentConfig()
+    calls = count_inversions(monkeypatch)
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    assert calls == [0.25, 0.5]
+    assert len(res.fibers) == 8
+    assert all(fiber.b.lam == lam for lam, fiber in res.fibers.items())
+    assert len({id(fiber.b.matrix) for fiber in res.fibers.values()}) == 2
+    assert res.fibers[-1.0].b.matrix is res.fibers[0.25].b.matrix
+    assert [r.lam for r in res.rows] == cfg.lam_values()
+    calls.clear()
     for m_max in (1, 2):
         derivative_report(res, m_max=m_max)
         assert calls == []
@@ -295,12 +313,24 @@ def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
         lambda_derivative_check(res.spec, res.fibers[1.0], m_max)
         assert calls == [1.0 + o * H_REL for o in offsets]  # h = H_REL |lam|
         calls.clear()
-    # the probe LU-inverts the nodes its fiber's check quantized: the
-    # default ladder's 8 fibers take 4 nodes each and nothing more
+    # the default ladder's 8 fibers take 4 nodes each, 32 tables, of which
+    # 8 are distinct: the nodes lam (1 + 0.02 o) repeat at -lam and 4 lam
+    # like the centers. Each distinct node is quantized once, and the probe
+    # LU-inverts the nodes its fiber's check quantized and nothing more
     ladder = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
     calls.clear()
     derivative_report(ladder, m_max=1)
-    assert len(calls) == 32
+    assert sorted(calls) == sorted(lam + o * (H_REL * lam) for lam in (0.25, 0.5)
+                                   for o in (-2, -1, 1, 2))
+
+
+def test_tables_odd_in_w_are_all_factorized(monkeypatch):
+    # odd in w1: no two fiber tables of the ladder are equal
+    cfg = ExperimentConfig(kernel="expr: 2 + w1/(1 + w1^2 + w2^2)")
+    calls = count_inversions(monkeypatch)
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    assert calls == cfg.lam_values()
+    assert len({id(fiber.b.matrix) for fiber in res.fibers.values()}) == 8
 
 
 def test_reconstructed_family_interpolates():

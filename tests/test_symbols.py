@@ -14,17 +14,19 @@ from oracles import (
     kn_symbol_dense,
     symbol_interpolant_literal,
     sympy_derivatives,
+    term_magnitudes,
 )
 
 from heisenflag.checks import balanced_rates, random_field
-from heisenflag.jets import Truncation
-from heisenflag.kernels import CATALOG, make_spectrum
-from heisenflag.grids import LineGrid, self_dual_line
+from heisenflag.jets import Truncation, evaluate, truncation
+from heisenflag.kernels import CATALOG, KernelParseError, make_spectrum
+from heisenflag.grids import LineGrid, flat_coords, self_dual_line
 from heisenflag.schrodinger import hs_norm, pi_field
 from heisenflag.symbols import (
     FiberOperator,
     SymbolGrid,
     evaluate_symbol,
+    fiber_axes,
     fiber_symbol,
     fiber_symbol_of_field,
     flag_estimate_report,
@@ -283,25 +285,29 @@ def tree_indices(n):
 def assert_tree_jets_match(text, spec, indices, oracle):
     """Order <= 2 jets of a grammar tree against the sympy oracle.
 
-    The absolute tolerance is 1e-9 of each row's oracle max, but at least
-    64 eps of the largest oracle value of the whole block: a derivative
-    that sympy simplifies to exactly 0 comes out of the jet pass as the
-    rounding residue of its terms.
+    The absolute tolerance is 1e-9 of each row's oracle max, but at every
+    point at least 64 eps times the magnitudes of the terms the jet pass
+    sums there (`oracles.term_magnitudes`): a derivative that cancels to 0
+    comes out of the jet pass, and out of the oracle unless sympy reduces
+    it to exactly 0, as the rounding residue of those terms, which the
+    result itself does not bound. Where the terms do not cancel, the floor
+    is 64 eps of the result and rtol 1e-9 decides.
     """
     W, lams = signed_rows(np.random.default_rng(67), 12, 2 * spec.n)
     with np.errstate(all="ignore"):
         got = spec.derivatives(indices, W, lams)
+        floors = 64 * np.finfo(float).eps * term_magnitudes(spec, indices, W, lams)
         # derivatives only exist where the family is defined
         defined = np.isfinite(got[0])
-        wants = [oracle[index](W, lams) for index in indices]
-        oks = [defined & np.isfinite(want) for want in wants]
-        block = max(np.max(np.abs(want[ok]), initial=0.0)
-                    for want, ok in zip(wants, oks))
-        for (alpha, beta), row, want, ok in zip(indices, got, wants, oks):
+        for (alpha, beta), row, floor in zip(indices, got, floors):
+            want = oracle[alpha, beta](W, lams)
+            ok = defined & np.isfinite(want)
             scale = np.max(np.abs(want[ok]), initial=0.0)
-            atol = max(1e-9 * scale, 64 * np.finfo(float).eps * block)
-            np.testing.assert_allclose(row[ok], want[ok], rtol=1e-9, atol=atol,
-                                       err_msg=f"{text}: alpha={alpha} beta={beta}")
+            atol = np.maximum(1e-9 * scale, np.nan_to_num(floor[ok], posinf=0.0))
+            gap = np.abs(row[ok] - want[ok])
+            bad = ~(gap <= atol + 1e-9 * np.abs(want[ok]))
+            assert not bad.any(), (f"{text}: alpha={alpha} beta={beta}: got "
+                                   f"{row[ok][bad]}, want {want[ok][bad]}, atol {atol[bad]}")
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,6 +334,72 @@ def test_jets_match_sympy_where_a_derivative_is_exactly_zero():
     indices = tree_indices(1)
     oracle = sympy_derivatives(spec, indices)
     assert_tree_jets_match("w1/abs(w1)", spec, indices, oracle)
+
+
+@pytest.mark.parametrize("text", ["-(((w1)^-1 / (w1)^-1))", "(abs(w1) / w1)"])
+def test_jets_match_sympy_where_terms_cancel(text):
+    # order-2 w1-derivatives that vanish: at w1 = 0.0839 their terms carry
+    # 2/w1^3 ~ 3.4e3, and one side leaves a residue of 5.7e-14 where the
+    # other gives exactly 0, far above 64 eps of the largest value, 1
+    spec = make_spectrum(f"expr: {text}")
+    indices = tree_indices(1)
+    assert_tree_jets_match(text, spec, indices, sympy_derivatives(spec, indices))
+
+
+# fiber lattices small enough for a property test; each holds w = 0
+LATTICES = {1: LineGrid(16, 4.0), 2: LineGrid(8, 3.0, 2)}
+LADDER = [0.25, -0.5, 1.0, -2.0, 1.02]
+
+
+def assert_lattice_matches_rows(spec, lam):
+    """The broadcast table equals the (m,)-row evaluation of the same
+    lattice bit for bit, NaN and inf positions included, and so do the
+    jets to order 2 of the one evaluator behind both."""
+    axes = fiber_axes(lam, LATTICES[spec.n])
+    d = len(axes)
+    tr = truncation(d, 2, 1)
+    columns = [np.reshape(ax, (1,) * i + (-1,) + (1,) * (d - 1 - i))
+               for i, ax in enumerate(axes)]
+    with np.errstate(all="ignore"):
+        rows = spec(flat_coords(axes), -lam)
+        row_jets = evaluate(spec._tape, tr, [*flat_coords(axes).T, np.full(len(rows), -lam)])
+        jets = evaluate(spec._tape, tr, [*columns, -lam])
+    table = spec.on_lattice(axes, -lam)
+    assert table.shape == rows.shape
+    assert np.array_equal(table, rows, equal_nan=True)
+    assert jets.shape == (tr.size,) + (LATTICES[spec.n].count,) * d
+    assert np.array_equal(jets.reshape(tr.size, -1), row_jets, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_broadcast_tables_match_rows_on_grammar_trees(data):
+    n = data.draw(st.integers(1, 2))
+    text, _ = data.draw(expression_trees(n))
+    try:
+        spec = make_spectrum(f"expr: {text}", n=n)
+    except KernelParseError:
+        assume(False)
+    assert_lattice_matches_rows(spec, data.draw(st.sampled_from(LADDER)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_broadcast_tables_match_rows_on_the_catalog(name, n):
+    for lam in LADDER:
+        assert_lattice_matches_rows(make_spectrum(name, n=n), lam)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("text", ["2^w1 + w2^lam", "abs(w1)^(w2/3)",
+                                  "(w1 + (-1)^0.5)^(lam*w2)",
+                                  "((-1)^0.5*w1 + 1) * ((-1)^0.5*w2 + lam)"])
+def test_broadcast_tables_match_rows_off_the_grammar(text, n):
+    # variable exponents (the grammar draws integer ones only): numpy's
+    # pow differs in the last bit between contiguous and broadcast
+    # operands, so the jet pass spreads them to one shape first
+    for lam in LADDER:
+        assert_lattice_matches_rows(make_spectrum(f"expr: {text}", n=n), lam)
 
 
 def test_order_zero_evaluator_at_the_origin():
