@@ -8,14 +8,14 @@ table equals an earlier one's reuses that record, so each distinct table
 is quantized and factorized once, and the records of equal tables share
 one B matrix. `InversionResult.fibers` holds these records, and the
 derivative scan, the glued inverse family and the verification read them
-instead of factorizing a fiber again (the derivative probe LU-inverts
-stencil nodes, and the scan quantizes each distinct node table once); the
-record keeps no A or symbol table, so its memory stays one matrix per
-distinct table. Together with the two-sided residuals the diagnostics decide
-whether the family is uniformly invertible: a fiber can be perfectly
-invertible as a matrix while its symbol vanishes on the flag boundary,
-so uniformity is judged against an absolute singular-value floor rather
-than the condition limit alone.
+instead of factorizing a fiber again (the derivative scan quantizes one
+weighted sum of stencil-node tables per fiber and order, and its probe
+LU-inverts four nodes); the record keeps no A or symbol table, so its
+memory stays one matrix per distinct table. Together with the two-sided
+residuals the diagnostics decide whether the family is uniformly
+invertible: a fiber can be perfectly invertible as a matrix while its
+symbol vanishes on the flag boundary, so uniformity is judged against an
+absolute singular-value floor rather than the condition limit alone.
 
 The inverse tables read off the records glue to a new symbol family on
 covariable space through the inverse parabolic frame map; that family
@@ -371,7 +371,7 @@ class ReconstructedSpectrum(Spectrum):
                 a = kn_quantize(self.base.fiber_table(lam, self.grid))
                 fiber = invert_fiber(a, self.cond_limit)
             b = fiber.b.matrix
-            if id(b) not in self._b_tables:     # B is held, so its id stays its own
+            if id(b) not in self._b_tables:     # the entry keeps B, so its id stays B's
                 self._b_tables[id(b)] = (b, kn_symbol_of(fiber.b).values)
             tab = self._tables[lam] = SymbolGrid(lam, self.grid, self._b_tables[id(b)][1])
         return tab
@@ -434,59 +434,54 @@ def verify_inverse(result: InversionResult) -> dict:
     return report
 
 
-def _stencil_nodes(spec, fiber: Fiber, m_max: int, held: "dict | None" = None) -> dict:
-    """Matrices A(lam + o h), h = H_REL |lam|, of each offset o that carries
-    a nonzero weight for some order <= m_max, each quantized once.
+def _table_derivatives(spec, fiber: Fiber, m_max: int) -> list:
+    """[None, A^(1), ..., A^(m_max)] at fixed table coordinates.
 
-    `held` carries nodes from one call to the next: {sgn(lam) o: (table
-    key, table values, matrix)}, keyed by the position of the node
-    lam (1 + sgn(lam) o H_REL) relative to its fiber. A node whose table
-    equals the held one at its position reuses that matrix, and the held
-    entry is then replaced by this fiber's node, so one fiber of nodes is
-    held at a time. A family that sees lam only through the frame repeats
-    a fiber's nodes at -lam and 4 lam, each at the same position.
+    The quantization is linear, so A^(k) = Op(sum_o w_o a(lam + o h)) / h^k
+    with h = H_REL |lam| and the weights of `stencil(k)`: each node table
+    is sampled once and added to the sum of every order that weighs it,
+    and each order is quantized once, tagged with the fiber's lam. A node
+    with a non-finite entry raises `LinAlgError` naming the node.
     """
     lam, grid = fiber.b.lam, fiber.b.grid
     if lam == 0.0:
         raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
-    used = {o for k in range(1, m_max + 1) for o, w in zip(*stencil(k)) if w}
-    held = {} if held is None else held
-    nodes = {}
-    for o in sorted(used):
-        table = spec.fiber_table(lam + o * h, grid)
-        key = _table_key(table.values)
-        at = o if lam > 0 else -o
-        prev = held.pop(at, None)
-        if prev is None or prev[0] != key or not np.array_equal(prev[1], table.values):
-            prev = None     # let the held matrix go before quantizing
-            matrix = kn_quantize(table).matrix
-        else:
-            matrix = prev[2]
-        held[at] = (key, table.values, matrix)
-        nodes[o] = matrix
-    return nodes
+    weights = [dict(zip(*stencil(k))) for k in range(1, m_max + 1)]
+    sums = [0.0] * m_max
+    for o in sorted({o for wk in weights for o, w in wk.items() if w}):
+        values = spec.fiber_table(lam + o * h, grid).values
+        _refuse_non_finite(values, lam + o * h)
+        for k, wk in enumerate(weights):
+            if wk.get(o):
+                sums[k] = sums[k] + wk[o] * values
+    return [None] + [kn_quantize(SymbolGrid(lam, grid, total / h ** k)).matrix
+                     for k, total in enumerate(sums, 1)]
 
 
-def _inverse_derivatives(fiber: Fiber, nodes: dict, m_max: int) -> list:
-    """[B, d_lam B, ..., d_lam^m_max B] at fixed table coordinates.
-
-    A^(j) reads its weights off `stencil(j)` over the `_stencil_nodes`
-    matrices. The Leibniz rule on AB = I gives, from the record's B alone,
-    B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j): no node is inverted.
-    """
-    h = H_REL * abs(fiber.b.lam)
-    da, db = [None], [fiber.b.matrix]
+def _inverse_derivatives(fiber: Fiber, da: list, m_max: int) -> list:
+    """[B, d_lam B, ..., d_lam^m_max B] from the record's B and the list da
+    of `_table_derivatives`, by the Leibniz rule on AB = I:
+    B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j). No node is inverted."""
+    db = [fiber.b.matrix]
     for k in range(1, m_max + 1):
-        off, wts = stencil(k)
-        da.append(sum(w * nodes[o] for o, w in zip(off, wts) if w) / h ** k)
         db.append(-db[0] @ sum(math.comb(k, j) * da[j] @ db[k - j]
                                for j in range(1, k + 1)))
     return db
 
 
-def _derivative_rows(fiber: Fiber, nodes: dict, m_max: int) -> list:
+def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
+    """Rows |lam|^k ||B^(k)|| of one inverted-fiber record, k = 1..m_max.
+
+    `rounding_floor`, size * eps * sigma_max / sigma_min^2 * sum |w_o| / h^k,
+    is ||B||^2 times the rounding noise of A^(k): the weighted sum of the
+    node tables rounds to within eps sum |w_o| of their scale, and its one
+    quantization is exact to size * eps times that, over h^k. A norm at
+    or below it is noise, and the row reports `zero_to_rounding`;
+    dilation-invariant families land there at every lam.
+    """
     lam, grid = fiber.b.lam, fiber.b.grid
+    da = _table_derivatives(spec, fiber, m_max)
     h = H_REL * abs(lam)
     # sigma_min = mant 2^e: sigma_min^2 leaves the float range for families
     # scaled by 1e-170 or 1e200, mant^2 does not, and the power of two
@@ -495,7 +490,7 @@ def _derivative_rows(fiber: Fiber, nodes: dict, m_max: int) -> list:
     noise = np.ldexp(grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
                      / mant ** 2, -2 * e)
     rows = []
-    for k, db in enumerate(_inverse_derivatives(fiber, nodes, m_max)[1:], 1):
+    for k, db in enumerate(_inverse_derivatives(fiber, da, m_max)[1:], 1):
         floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)
         db_norm = float(np.linalg.norm(db, 2))
         # exact: the quantization is linear, so d(symbol) = symbol(d(matrix))
@@ -508,29 +503,19 @@ def _derivative_rows(fiber: Fiber, nodes: dict, m_max: int) -> list:
     return rows
 
 
-def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
-    """Rows |lam|^k ||B^(k)|| of one inverted-fiber record, k = 1..m_max.
-
-    `rounding_floor`, size * eps * sigma_max / sigma_min^2 * sum |w_o| / h^k,
-    is ||B||^2 times the rounding noise of A^(k): each quantized node is
-    exact to size * eps * ||A||, summed with weights w_o / h^k. A norm at
-    or below it is noise, and the row reports `zero_to_rounding`;
-    dilation-invariant families land there at every lam.
-    """
-    return _derivative_rows(fiber, _stencil_nodes(spec, fiber, m_max), m_max)
-
-
-def _leibniz_probe(fiber: Fiber, nodes: dict, row: dict) -> dict:
-    """||d B + B (d A) B|| with d the order-1 stencil of the LU-inverted
-    nodes; `identity_rel` only when the fiber's order-1 `row` is resolved."""
-    lam, b = fiber.b.lam, fiber.b.matrix
+def _leibniz_probe(spec, fiber: Fiber, row: dict) -> dict:
+    """||d B + B (d A) B|| with d the order-1 stencil over the fiber's own
+    quantized and LU-inverted nodes, independent of `_table_derivatives`;
+    `identity_rel` only when the fiber's order-1 `row` is resolved."""
+    lam, grid, b = fiber.b.lam, fiber.b.grid, fiber.b.matrix
     h = H_REL * abs(lam)
     da = db = 0.0
     for o, w in zip(*stencil(1)):
         if w:  # the order-1 stencil weighs its center by zero
-            da = da + w / h * nodes[o]
+            node = kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
+            da = da + w / h * node
             try:
-                db = db + w / h * np.linalg.inv(nodes[o])
+                db = db + w / h * np.linalg.inv(node)
             except np.linalg.LinAlgError as exc:  # name the node, as invert_fiber does
                 raise np.linalg.LinAlgError(f"fiber at lam={lam + o * h:g}: {exc}") from exc
     residual = float(np.linalg.norm(db + b @ da @ b, 2))
@@ -550,7 +535,7 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     Only rows above their rounding floor are judged (`resolved`); an order
     whose rows are all zero to rounding is uniform. The `probe` checks the
     Leibniz rule at the fiber of largest |lam| against the order-1 stencil
-    of the LU-inverted nodes that fiber's check quantized, with
+    of that fiber's LU-inverted nodes, which the probe quantizes itself, with
     `identity_rel` only when that row is resolved (below the floor it is a
     ratio of noise to noise). Rows are computed for every fiber, also where
     records share one B: for a family that sees lam only through the frame,
@@ -558,26 +543,10 @@ def derivative_report(result: InversionResult, m_max: int = 2) -> dict:
     would be a second code path for a few milliseconds.
     """
     lams = result.lam_values
+    checks = [lambda_derivative_check(result.spec, result.fibers[lam], m_max)
+              for lam in lams]
     at = lams.index(max(lams, key=abs))
-    # fibers that share one B visit their nodes in turn, so a family seeing
-    # lam only through the frame quantizes each distinct node once
-    first: dict = {}
-    group = [first.setdefault(id(result.fibers[lam].b.matrix), i)
-             for i, lam in enumerate(lams)]
-    visits = sorted(range(len(lams)), key=group.__getitem__)
-    held: dict = {}     # dense matrices: the previous fiber's nodes only
-    checks = [None] * len(lams)
-    for i, after in zip(visits, visits[1:] + [None]):
-        fiber = result.fibers[lams[i]]
-        nodes = _stencil_nodes(result.spec, fiber, m_max, held)
-        if after is None or group[after] != group[i]:
-            # the next fiber's table differs from this one's, and so,
-            # as a rule, do its nodes: hold no tables for it
-            held.clear()
-        checks[i] = _derivative_rows(fiber, nodes, m_max)
-        if i == at:
-            probe = _leibniz_probe(fiber, nodes, checks[i][0])
-        del nodes   # only `held` keeps the nodes the next fiber may reuse
+    probe = _leibniz_probe(result.spec, result.fibers[lams[at]], checks[at][0])
     orders = {}
     for order in range(1, m_max + 1):
         rows = [check[order - 1] for check in checks]

@@ -475,18 +475,24 @@ def test_non_finite_rows_report_nan_constants(tmp_path, expr):
     assert any(np.isnan(v) for v in sym0.values())
 
 
-@pytest.mark.parametrize("expr", ["1/(w1)", "1/(lam - 0.25)", "2 + 1/(lam + 0.26)",
-                                  "1 + w1 * w1^-1"])
+# each family's first non-finite table, by the lam its message names
+NON_FINITE_AT = {"1/(w1)": 0.25, "1/(lam - 0.25)": -0.25, "2 + 1/(lam + 0.26)": 0.26,
+                 "1 + w1 * w1^-1": 0.25}
+
+
+@pytest.mark.parametrize("expr", list(NON_FINITE_AT))
 def test_non_finite_fiber_exits_numerical_naming_the_fiber(expr):
     # LAPACK printed `DLASCL ... illegal value` and the message was only
     # "SVD did not converge"; a table with an infinite entry warned in the
     # FFT of its quantization first. The third pole sits at the derivative
     # stencil node 0.25 + 2 * 0.02 * 0.25 of fiber 0.25, a table that is
-    # quantized without being inverted. The last family is NaN (0 * inf)
-    # at w1 = 0, a point of every fiber, and a NaN table equals no other
+    # only summed into the fiber's derivative, so the message names the
+    # node, not the fiber. The last family is NaN (0 * inf) at w1 = 0, a
+    # point of every fiber, and a NaN table equals no other
     proc = run_module("invert", "--kernel", f"expr: {expr}")
     assert proc.returncode == EXIT_NUMERICAL
-    assert "lam=" in proc.stderr and "entries are not finite" in proc.stderr
+    assert f"fiber at lam={NON_FINITE_AT[expr]:g}: " in proc.stderr
+    assert "entries are not finite" in proc.stderr
     for text in ("DLASCL", "did not converge", "Traceback", "RuntimeWarning"):
         assert text not in proc.stdout + proc.stderr
 

@@ -18,7 +18,7 @@ from heisenflag.inversion import (
     FiberInversionError,
     SymmetryError,
     _inverse_derivatives,
-    _stencil_nodes,
+    _table_derivatives,
     derivative_report,
     gramian_lower_bound,
     invert_fiber,
@@ -297,11 +297,7 @@ def test_fiber_records_serve_every_consumer(monkeypatch):
     assert calls == [-3.0]
 
 
-def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
-    # stencil(1) weighs its center by zero, so m_max = 1 quantizes its 4
-    # outer nodes; stencil(2) weighs all 5
-    cfg = ExperimentConfig()
-    res = invert_flag(cfg.spectrum(), [1.0], cfg.state())
+def count_quantizations(monkeypatch) -> list:
     calls = []
 
     def counted(table):
@@ -309,19 +305,50 @@ def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
         return kn_quantize(table)
 
     monkeypatch.setattr(inversion, "kn_quantize", counted)
+    return calls
+
+
+def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
+    # stencil(1) weighs its center by zero, so m_max = 1 samples its 4
+    # outer nodes; stencil(2) weighs all 5. The weighted node tables of each
+    # order are summed and quantized once, tagged with the fiber's lam
+    cfg = ExperimentConfig()
+    res = invert_flag(cfg.spectrum(), [1.0], cfg.state())
+    spec, sampled = res.spec, []
+    table = spec.fiber_table
+
+    def sample(lam, grid):
+        sampled.append(lam)
+        return table(lam, grid)
+
+    monkeypatch.setattr(spec, "fiber_table", sample)
+    calls = count_quantizations(monkeypatch)
     for m_max, offsets in ((1, (-2, -1, 1, 2)), (2, (-2, -1, 0, 1, 2))):
-        lambda_derivative_check(res.spec, res.fibers[1.0], m_max)
-        assert calls == [1.0 + o * H_REL for o in offsets]  # h = H_REL |lam|
+        lambda_derivative_check(spec, res.fibers[1.0], m_max)
+        assert sampled == [1.0 + o * H_REL for o in offsets]  # h = H_REL |lam|
+        assert calls == [1.0] * m_max
+        sampled.clear()
         calls.clear()
-    # the default ladder's 8 fibers take 4 nodes each, 32 tables, of which
-    # 8 are distinct: the nodes lam (1 + 0.02 o) repeat at -lam and 4 lam
-    # like the centers. Each distinct node is quantized once, and the probe
-    # LU-inverts the nodes its fiber's check quantized and nothing more
+    # the default ladder: one quantization per fiber, then the probe
+    # quantizes the 4 order-1 nodes of the fiber of largest |lam| itself
     ladder = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
     calls.clear()
     derivative_report(ladder, m_max=1)
-    assert sorted(calls) == sorted(lam + o * (H_REL * lam) for lam in (0.25, 0.5)
-                                   for o in (-2, -1, 1, 2))
+    assert calls == cfg.lam_values() + [2.0 + o * (H_REL * 2.0) for o in (-2, -1, 1, 2)]
+
+
+@pytest.mark.parametrize("kernel", ["perturbed-identity",
+                                    "expr: 2 + w1/(1 + w1^2 + w2^2)"])
+def test_derivative_scan_cost_does_not_depend_on_equal_tables(monkeypatch, kernel):
+    # the first family repeats its tables at -lam and 4 lam, the second,
+    # odd in w1, repeats none: the scan quantizes as often for both
+    cfg = ExperimentConfig(kernel=kernel)
+    res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
+    calls = count_quantizations(monkeypatch)
+    for m_max in (1, 2):
+        derivative_report(res, m_max=m_max)
+        assert len(calls) == 8 * m_max + 4
+        calls.clear()
 
 
 def test_tables_odd_in_w_are_all_factorized(monkeypatch):
@@ -379,7 +406,7 @@ def test_leibniz_derivatives_match_node_inverses(n, count):
     grid = LineGrid(count, 4.0, n)
     res = invert_flag(temp, [0.5, -1.0, 2.0], grid)
     for lam, fiber in res.fibers.items():
-        derived = _inverse_derivatives(fiber, _stencil_nodes(temp, fiber, 3), 3)
+        derived = _inverse_derivatives(fiber, _table_derivatives(temp, fiber, 3), 3)
         for order in (1, 2, 3):
             ref = node_inverse_derivative(temp, lam, grid, order)["db"]
             gap = np.linalg.norm(derived[order] - ref, 2)
