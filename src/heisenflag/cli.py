@@ -321,13 +321,13 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
         "derivatives_uniform": deriv["uniform"],
         "sigma_min_by_lam": {f"{r.lam:+g}": r.sigma_min for r in res.rows},
     }
+    if cfg.out is not None:     # before run.json, which must not outlive a failed save
+        res.save(cfg.out)
     _write_run(cfg, "invert", status, summary, extra_files={
         "derivatives.json": _dump(deriv),
         "verification.json": _dump(verification),
         "uniformity.json": _dump(uniform),
     })
-    if cfg.out is not None:
-        res.save(cfg.out)
 
     verdict = {EXIT_OK: "ok", EXIT_TOLERANCE: "tolerance failure",
                EXIT_NUMERICAL: "not uniformly invertible"}[status]

@@ -1,26 +1,27 @@
 """Fiberwise inversion of flag symbols and the reconstructed inverse family.
 
-The pipeline samples a symbol family along each requested fiber, quantizes,
-and inverts the matrix through one SVD. That SVD gives one `Fiber` record
-per fiber: the inverse B plus its smallest singular value and condition
-number. Work is keyed on a table's content, not on lam: a fiber whose
-table equals an earlier one's reuses that record, so each distinct table
-is quantized and factorized once, and the records of equal tables share
-one B matrix. `InversionResult.fibers` holds these records, and the
-derivative scan, the glued inverse family and the verification read them
-instead of factorizing a fiber again (the derivative scan quantizes one
-weighted sum of stencil-node tables per fiber and order, and its probe
-LU-inverts four nodes); the record keeps no A or symbol table, so its
-memory stays one matrix per distinct table. Together with the two-sided
-residuals the diagnostics decide whether the family is uniformly
-invertible: a fiber can be perfectly invertible as a matrix while its
-symbol vanishes on the flag boundary, so uniformity is judged against an
-absolute singular-value floor rather than the condition limit alone.
+The pipeline samples a symbol family along each requested fiber through
+`fiber_symbol`, quantizes, and inverts the matrix through one SVD, which
+gives one `Fiber` record per fiber: the inverse B plus its smallest
+singular value and condition number. Work is keyed on a table's content,
+not on lam: a fiber whose table equals an earlier one's reuses that
+record, so each distinct table is quantized and factorized once, and the
+records of equal tables share one B matrix. `InversionResult.fibers` holds
+these records, and the derivative scan, the glued inverse family and the
+verification read them instead of factorizing a fiber again (the
+derivative scan quantizes one weighted sum of stencil-node tables per
+fiber and order, and its probe LU-inverts four nodes); the record keeps no
+A or symbol table, so its memory stays one matrix per distinct table.
+Together with the two-sided residuals the diagnostics decide whether the
+family is uniformly invertible: a fiber can be perfectly invertible as a
+matrix while its symbol vanishes on the flag boundary, so uniformity is
+judged against an absolute singular-value floor rather than the condition
+limit alone.
 
 The inverse tables read off the records glue to a new symbol family on
 covariable space through the inverse parabolic frame map; that family
-supports the same seminorm scans and derivative identities as the input,
-which is the numerical content of inverse-closedness.
+supports the same seminorm scans, fiber sampling and derivative identities
+as the input, which is the numerical content of inverse-closedness.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .symbols import (
     SymbolGrid,
     _refuse_non_finite,
     evaluate_symbol,
-    fiber_axes,
+    fiber_symbol,
     kn_quantize,
     kn_symbol_of,
     symbol_field,
@@ -191,23 +192,21 @@ class InversionResult:
         return buf.getvalue()
 
     def spectrum(self) -> "ReconstructedSpectrum":
-        return ReconstructedSpectrum(self.spec, self.grid, self.fibers,
-                                     self.cond_limit)
+        return ReconstructedSpectrum(self)
 
     def save(self, outdir) -> list:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        p = outdir / "inversion.json"
-        p.write_text(self.to_json() + "\n")
-        written.append(p)
-        p = outdir / "fibers.csv"
-        p.write_text(self.to_csv())
-        written.append(p)
+        written = [outdir / "inversion.json", outdir / "fibers.csv"]
+        written[0].write_text(self.to_json() + "\n")
+        written[1].write_text(self.to_csv())
         for lam, fiber in sorted(self.fibers.items()):
-            p = outdir / f"inverse_fiber_{lam:+.6f}.hfc"
-            save_operator(fiber.b, p)
-            written.append(p)
+            # one name per fiber: +.6f where it reads back as lam, else 17 digits
+            name = f"{lam:+.6f}"
+            if len(name) > 24 or float(name) != lam:
+                name = f"{lam:+.17g}"
+            written.append(outdir / f"inverse_fiber_{name}.hfc")
+            save_operator(fiber.b, written[-1])
         return written
 
 
@@ -245,12 +244,12 @@ def invert_flag(spec, lam_values, grid: LineGrid, cond_limit: float = 1e8,
     seen: dict = {}     # table key -> [(Fiber, FiberRow)], one per distinct table
     for lam in lam_values:
         lam = float(lam)
-        table = spec.fiber_table(lam, grid)
+        table = fiber_symbol(spec, lam, grid)
         same = seen.setdefault(_table_key(table.values), [])
         # an equal key nominates an earlier table, sampled again to compare:
         # holding every distinct table would cost one more matrix each
         hit = next((r for r in same if np.array_equal(
-            spec.fiber_table(r[0].b.lam, grid).values, table.values)), None)
+            fiber_symbol(spec, r[0].b.lam, grid).values, table.values)), None)
         if hit is not None:
             first, row = hit
             out.rows.append(replace(row, lam=lam))
@@ -338,49 +337,40 @@ def _table_coordinates(w_xi, w_s, mu: float) -> tuple:
 
 
 class ReconstructedSpectrum(Spectrum):
-    """Inverse family glued from per-fiber inverse tables.
+    """Inverse family glued from the per-fiber inverse tables of a run.
 
     Evaluation at (w, mu) looks up the fiber at -mu through the inverse
-    parabolic frame map. The tables are read off the `fibers` records of
-    an inversion run; a fiber missing there is inverted on demand, so the
-    family supports finite differencing in the central frequency. Tables
-    are cached. Rows that leave a table footprint are clamped ("edge")
-    and counted in `clipped_rows`. `fiber_table` samples a whole fiber
-    lattice of the family through the same frame map, one axis at a time.
+    parabolic frame map, in the table of the run's record; a fiber missing
+    there is inverted on demand into the family's own copy of the records
+    (the run, and what `save` writes, stay as they were), so the family
+    supports finite differencing in the central frequency. Records that
+    share one B read its table once. Rows outside a table footprint are
+    clamped ("edge") and counted in `clipped_rows`; `on_lattice`, which
+    `fiber_symbol` samples through, maps and counts one axis at a time.
     """
 
-    def __init__(self, spec: Spectrum, grid: LineGrid, fibers: dict,
-                 cond_limit: float = 1e8):
-        super().__init__(grid.dim)
-        self.base = spec
-        self.grid = grid
-        self.fibers = fibers
-        self.cond_limit = cond_limit
+    def __init__(self, result: InversionResult):
+        super().__init__(result.grid.dim)
+        self.base, self.grid, self.cond_limit = result.spec, result.grid, result.cond_limit
+        self.fibers = dict(result.fibers)
         self.clipped_rows = 0
-        self._tables: dict[float, SymbolGrid] = {}
-        self._b_tables: dict[int, tuple] = {}      # id(B) -> (B, its table values)
+        self._tables: dict[int, tuple] = {}     # id(B) -> (B, its table values)
 
     def inverse_table(self, lam: float) -> SymbolGrid:
-        """Table of the inverse fiber at lam; records that share one B (equal
-        forward tables) read its table once."""
+        """Table of the inverse fiber at lam."""
         lam = float(lam)
-        tab = self._tables.get(lam)
-        if tab is None:
-            fiber = self.fibers.get(lam)
-            if fiber is None:
-                a = kn_quantize(self.base.fiber_table(lam, self.grid))
-                fiber = invert_fiber(a, self.cond_limit)
-            b = fiber.b.matrix
-            if id(b) not in self._b_tables:     # the entry keeps B, so its id stays B's
-                self._b_tables[id(b)] = (b, kn_symbol_of(fiber.b).values)
-            tab = self._tables[lam] = SymbolGrid(lam, self.grid, self._b_tables[id(b)][1])
-        return tab
+        fiber = self.fibers.get(lam)
+        if fiber is None:
+            a = kn_quantize(fiber_symbol(self.base, lam, self.grid))
+            fiber = self.fibers[lam] = invert_fiber(a, self.cond_limit)
+        b = fiber.b.matrix
+        if id(b) not in self._tables:       # the entry keeps B, so its id stays B's
+            self._tables[id(b)] = (b, kn_symbol_of(fiber.b).values)
+        return SymbolGrid(lam, self.grid, self._tables[id(b)][1])
 
     def _evaluate(self, W, lam):
         out = np.empty(W.shape[0], dtype=complex)
         for mu in np.unique(lam):
-            if mu == 0.0:
-                raise ValueError("reconstructed family needs nonzero lam")
             rows = lam == mu
             tab = self.inverse_table(-mu)
             xi, s = _table_coordinates(W[rows, :self.n], W[rows, self.n:], mu)
@@ -389,30 +379,25 @@ class ReconstructedSpectrum(Spectrum):
             out[rows] = evaluate_symbol(tab, xi, s, policy="edge")
         return out
 
-    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
-        """`fiber_symbol(self, lam, grid)` evaluated over the lattice.
-
-        Each axis of the fiber's covariables goes through the frame map at
-        mu = -lam on its own; the clipped count is the lattice size minus
-        the product of the per-axis inside counts.
-        """
-        w = fiber_axes(lam, grid)
-        n = grid.dim
-        coords = [None] * (2 * n)
-        for i in range(n):
-            coords[i], coords[n + i] = _table_coordinates(w[i], w[n + i], -lam)
-        field = symbol_field(self.inverse_table(lam))
+    def on_lattice(self, axes, lam):
+        """The table of the fiber at -lam over the lattice, contracted one
+        axis at a time: each covariable axis goes through the frame map on
+        its own, and the clipped count is the lattice size minus the
+        product of the per-axis inside counts."""
+        field = symbol_field(self.inverse_table(-lam))
+        n = self.n
+        xi, s = zip(*[_table_coordinates(w, v, lam) for w, v in zip(axes[:n], axes[n:])])
+        coords = [*xi, *s]
         inside = [int(np.sum(field.axis_footprint(i, c)[1]))
                   for i, c in enumerate(coords)]
-        self.clipped_rows += grid.size ** 2 - math.prod(inside)
-        vals = field.eval_lattice(coords, "edge")
-        return SymbolGrid(lam, grid, vals.reshape(grid.size, grid.size))
+        self.clipped_rows += math.prod(map(len, coords)) - math.prod(inside)
+        return field.eval_lattice(coords, "edge").reshape(-1)
 
 
 def verify_inverse(result: InversionResult) -> dict:
     """Two-sided operator residuals plus the reconstruction round trip.
 
-    The round trip compares the fiber symbol of the glued inverse family
+    The round trip compares `fiber_symbol` of the glued inverse family
     `result.spectrum()` against the inverse table read directly off each
     fiber; at lattice coincidences the two agree to rounding when the
     gluing is consistent. `clipped_rows` counts the fiber's lattice rows
@@ -423,7 +408,7 @@ def verify_inverse(result: InversionResult) -> dict:
     for row in result.rows:
         direct = recon.inverse_table(row.lam)
         clipped = recon.clipped_rows
-        glued = recon.fiber_table(row.lam, result.grid)
+        glued = fiber_symbol(recon, row.lam, result.grid)
         scale = max(direct.sup_norm(), 1e-300)
         report[row.lam] = {
             "residual_right": row.residual_right,
@@ -450,7 +435,7 @@ def _table_derivatives(spec, fiber: Fiber, m_max: int) -> list:
     weights = [dict(zip(*stencil(k))) for k in range(1, m_max + 1)]
     sums = [0.0] * m_max
     for o in sorted({o for wk in weights for o, w in wk.items() if w}):
-        values = spec.fiber_table(lam + o * h, grid).values
+        values = fiber_symbol(spec, lam + o * h, grid).values
         _refuse_non_finite(values, lam + o * h)
         for k, wk in enumerate(weights):
             if wk.get(o):
@@ -512,7 +497,7 @@ def _leibniz_probe(spec, fiber: Fiber, row: dict) -> dict:
     da = db = 0.0
     for o, w in zip(*stencil(1)):
         if w:  # the order-1 stencil weighs its center by zero
-            node = kn_quantize(spec.fiber_table(lam + o * h, grid)).matrix
+            node = kn_quantize(fiber_symbol(spec, lam + o * h, grid)).matrix
             da = da + w / h * node
             try:
                 db = db + w / h * np.linalg.inv(node)

@@ -179,8 +179,9 @@ def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
 class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
-    Subclasses implement `_evaluate(W, lam)`. `derivatives` takes finite
-    differences of it, and families with an analytic form override it
+    Subclasses implement `_evaluate(W, lam)`. Its two other hooks are
+    `on_lattice`, through which `fiber_symbol` samples every fiber table,
+    and `derivatives`, finite differences unless a family overrides them
     with exact rows. Whether a fiber is Hermitian is a property of its
     quantized matrix, which strict inversion measures, not of the family.
     """
@@ -226,10 +227,6 @@ class Spectrum:
         q = np.column_stack([W, lam])
         return np.array([partial_cloud(joint, q, (*alpha, beta), h)
                          for alpha, beta in indices])
-
-    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
-        """Symbol table of the fiber at lam; table-backed families override it."""
-        return fiber_symbol(self, lam, grid)
 
 
 class SympySpectrum(Spectrum):

@@ -19,7 +19,7 @@ from heisenflag.inversion import invert_fiber
 from heisenflag.jets import evaluate, truncation
 from heisenflag.kernels import parse_tape
 from heisenflag.schrodinger import StateVector, _lambda_slice
-from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, kn_quantize, kn_symbol_of
+from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, fiber_symbol, kn_quantize
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -251,24 +251,6 @@ def c_fun_shift_loop(f: StateVector, g: StateVector) -> np.ndarray:
     return grid.weight * out.reshape(grid.shape + grid.shape)
 
 
-class GramSpectrum(Spectrum):
-    """Hermitian surrogate of a family: each fiber becomes A*A.
-
-    Quantization does not commute with pointwise conjugation, so real
-    symbols generally give non-Hermitian fibers; squaring through the
-    adjoint restores symmetry at the operator level and keeps the fiber
-    invertible exactly when the original one is.
-    """
-
-    def __init__(self, base):
-        super().__init__(base.n)
-        self.base = base
-
-    def fiber_table(self, lam: float, grid: LineGrid) -> SymbolGrid:
-        a = kn_quantize(self.base.fiber_table(lam, grid))
-        return kn_symbol_of(FiberOperator(lam, grid, a.matrix.conj().T @ a.matrix))
-
-
 class CallableSpectrum(Spectrum):
     """A family given by a plain function of (W, lam) and no derivatives,
     so the seminorm scans read the base class's finite differences."""
@@ -428,14 +410,14 @@ def node_inverse_derivative(spec, lam: float, grid, order: int = 1,
     `identity_residual` = ||db + B (d A) B||_2 and, above the floor, the
     ratio `identity_rel` of that residual to the larger of the two sides.
     """
-    center = invert_fiber(kn_quantize(spec.fiber_table(lam, grid)), cond_limit)
+    center = invert_fiber(kn_quantize(fiber_symbol(spec, lam, grid)), cond_limit)
     b0, sigma_min = center.b.matrix, center.sigma_min
     sigma_max = sigma_min * center.cond
     h = h_rel * abs(lam)
     off, wts = stencil(order)
     a_nodes, b_nodes = [], []
     for o in off:
-        a = kn_quantize(spec.fiber_table(lam + o * h, grid))
+        a = kn_quantize(fiber_symbol(spec, lam + o * h, grid))
         a_nodes.append(a.matrix)
         b_nodes.append(b0 if o == 0 else invert_fiber(a, cond_limit).b.matrix)
     scale = h ** order

@@ -166,6 +166,30 @@ def test_invert_perturbed_identity_ok(tmp_path):
     assert np.isfinite(op.matrix).all()
 
 
+@pytest.mark.parametrize("band, fibers", [("1e-7:1e-6", 8), ("1e300:1e301", 6)])
+def test_invert_names_each_fiber_file_by_its_lam(tmp_path, band, fibers):
+    # six decimals would round the first band's fibers onto +-0.000000 and
+    # spell the second one's (+-2^997..2^999) in over 300 characters
+    out = tmp_path / "run"
+    assert main(["invert", "--lambda-band", band, "--out", str(out)]) == EXIT_OK
+    assert len(json.loads((out / "inversion.json").read_text())["fibers"]) == fibers
+    files = sorted(out.glob("inverse_fiber_*.hfc"))
+    assert len(files) == fibers
+    for path in files:
+        lam = float(path.name[len("inverse_fiber_"):-len(".hfc")])
+        assert load_operator(path).lam == lam
+
+
+def test_invert_failed_save_leaves_no_run_json(tmp_path, monkeypatch):
+    def refuse(op, path):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(heisenflag.inversion, "save_operator", refuse)
+    out = tmp_path / "run"
+    assert main(["invert", "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "run.json").exists()
+
+
 def test_invert_riesz_fails_with_sigma_table(tmp_path):
     out = tmp_path / "run"
     assert main(["invert", "--kernel", "riesz",

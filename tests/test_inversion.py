@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from common import GROUP32
-from oracles import GramSpectrum, node_inverse_derivative
+from oracles import node_inverse_derivative
 
 from heisenflag.checks import random_field
 from heisenflag.cli import ExperimentConfig
 from heisenflag.fields import LambdaWindow, SampledField
 from heisenflag import inversion
-from heisenflag.grids import LineGrid
+from heisenflag.grids import LineGrid, flat_coords
 from heisenflag.inversion import (
     H_REL,
     FiberInversionError,
@@ -30,6 +30,7 @@ from heisenflag.inversion import (
 )
 from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.symbols import (
+    fiber_axes,
     fiber_symbol,
     field_of_spectrum,
     flag_estimate_report,
@@ -168,8 +169,10 @@ def test_strict_mode_rejects_and_accepts():
     # also on a ladder whose tables repeat at -lam and 4 lam
     with pytest.raises(SymmetryError, match="fiber at lam=0.25 is not Hermitian"):
         invert_flag(pert, DYADIC, GRID, strict=True)
-    gram = GramSpectrum(pert)
-    res = invert_flag(gram, [0.5, -1.0], GRID, strict=True)
+    # a real symbol of xi alone quantizes to a Hermitian circulant
+    herm = make_spectrum("expr: 1 + 0.3*w1^2/(1 + w1^2 + abs(lam))")
+    res = invert_flag(herm, [0.5, -1.0, 0.25, 2.0], GRID, strict=True)
+    assert len({id(b.matrix) for b, _, _ in res.fibers.values()}) == 4
     assert res.uniformly_invertible
     assert res.worst_residual < 1e-10
     for b, _, _ in res.fibers.values():
@@ -184,13 +187,6 @@ def test_catalog_invertible_field_matches_the_default_run(name):
     cfg = ExperimentConfig()
     res = invert_flag(make_spectrum(name), cfg.lam_values(), cfg.state())
     assert res.uniformly_invertible == CATALOG[name].invertible
-
-
-def test_gram_spectrum_matches_composition():
-    pert = make_spectrum("perturbed-identity", eps=0.3)
-    a = kn_quantize(fiber_symbol(pert, 0.5, GRID)).matrix
-    g = kn_quantize(GramSpectrum(pert).fiber_table(0.5, GRID)).matrix
-    assert np.max(np.abs(g - a.conj().T @ a)) < 1e-9
 
 
 def test_reconstruction_round_trip_is_lattice_exact():
@@ -220,17 +216,27 @@ def test_glue_check_sees_a_distorted_lattice_query(monkeypatch):
         assert row["glue_error"] > tol
 
 
-def test_lattice_clipped_rows_match_flat_rows():
+def test_lattice_clipped_rows_match_flat_rows(monkeypatch):
     spec = make_spectrum("perturbed-identity", eps=0.3)
     res = invert_flag(spec, [0.5], GRID)
     # frequencies up to 4 against the table's 2: part of the lattice is out
     wide = LineGrid(64, 4.0)
     lattice, flat = res.spectrum(), res.spectrum()
-    got = lattice.fiber_table(0.5, wide)
-    want = fiber_symbol(flat, 0.5, wide)
+    rows, eval_at = [], SampledField.eval_at
+
+    def counted(self, points, policy="zero"):
+        rows.append(len(points))
+        return eval_at(self, points, policy)
+
+    monkeypatch.setattr(SampledField, "eval_at", counted)
+    # fiber_symbol samples the glued family one axis at a time, not row by row
+    got = fiber_symbol(lattice, 0.5, wide).values.reshape(-1)
+    assert rows == []
+    want = flat(flat_coords(fiber_axes(0.5, wide)), -0.5)
+    assert rows == [wide.size ** 2]
     assert 0 < lattice.clipped_rows < wide.size ** 2
     assert lattice.clipped_rows == flat.clipped_rows
-    assert np.max(np.abs(got.values - want.values)) <= 1e-13 * want.sup_norm()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     report = verify_inverse(res)
     assert report[0.5]["clipped_rows"] == 0
 
@@ -265,7 +271,7 @@ def count_inversions(monkeypatch) -> list:
     return calls
 
 
-def test_fiber_records_serve_every_consumer(monkeypatch):
+def test_fiber_records_serve_every_consumer(monkeypatch, tmp_path):
     # each distinct table of the default ladder is inverted once, by
     # invert_flag: perturbed-identity sees lam only through the parabolic
     # frame, so the tables at +-lam and +-4 lam are equal and 2 of the 8
@@ -293,6 +299,10 @@ def test_fiber_records_serve_every_consumer(monkeypatch):
     W = np.array([[0.3, -0.7]])
     glued(W, 3.0)
     assert calls == [-3.0]
+    # the on-demand fiber goes into the family's copy, not into the run
+    assert set(res.fibers) == set(cfg.lam_values())
+    assert len(res.save(tmp_path)) == 2 + len(cfg.lam_values())
+    assert len(list(tmp_path.glob("*.hfc"))) == len(cfg.lam_values())
     glued(W, 3.0)
     assert calls == [-3.0]
 
@@ -315,13 +325,13 @@ def test_derivative_scan_quantizes_only_weighted_nodes(monkeypatch):
     cfg = ExperimentConfig()
     res = invert_flag(cfg.spectrum(), [1.0], cfg.state())
     spec, sampled = res.spec, []
-    table = spec.fiber_table
+    on_lattice = spec.on_lattice
 
-    def sample(lam, grid):
-        sampled.append(lam)
-        return table(lam, grid)
+    def sample(axes, lam):
+        sampled.append(-lam)    # fiber_symbol(spec, lam, grid) passes -lam
+        return on_lattice(axes, lam)
 
-    monkeypatch.setattr(spec, "fiber_table", sample)
+    monkeypatch.setattr(spec, "on_lattice", sample)
     calls = count_quantizations(monkeypatch)
     for m_max, offsets in ((1, (-2, -1, 1, 2)), (2, (-2, -1, 0, 1, 2))):
         lambda_derivative_check(spec, res.fibers[1.0], m_max)
