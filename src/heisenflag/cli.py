@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_identity_battery
-from .grids import LineGrid, _is_pow2, self_dual_line
+from .grids import LineGrid, _is_pow2, group_grid, self_dual_line
 from .inversion import (
     SIGMA_FLOOR,
     FiberInversionError,
@@ -112,6 +112,12 @@ class ExperimentConfig:
             if not (math.isfinite(getattr(self, name)) and ok):
                 raise ConfigError(f"{name} must be finite and {rule}, "
                                   f"got {getattr(self, name)}")
+        # a cell weight of 0 or inf: no reciprocal for a spike, no product
+        for nv in (self.v_count, 2 * self.v_count):  # the battery's grids
+            w = group_grid(self.n, nv, self.v_half_width, self.t_count, self.t_half_width).weight
+            if not (0.0 < w < math.inf and 1.0 / w < math.inf):
+                raise ConfigError(f"the group grid with {nv} v points has cell "
+                                  f"weight {w}, out of the float range")
         if self.draws < 1:
             raise ConfigError(f"draws must be >= 1, got {self.draws}")
         if self.seed < 0:
@@ -448,7 +454,9 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         cfg = load_config(flags.pop("config", None), _flag_overrides(flags))
         return _COMMANDS[command](cfg)
-    except (FiberInversionError, np.linalg.LinAlgError) as exc:
+    except (FiberInversionError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # FloatingPointError: a reference operator underflowed to 0 in
+        # `checks._rel_hs_gap` (the package sets no np.errstate "raise")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -10,7 +10,10 @@ exactly unitary on the grid and the group law holds up to the spectral
 leakage of the states involved.
 
 Compressing a field f against the representation gives the fiber operator
-pi_f^lam = int f(h) pi_h^lam dh, a `symbols.FiberOperator`. Two routes are kept:
+pi_f^lam = int f(h) pi_h^lam dh, a `symbols.FiberOperator`. `pi_field` takes
+the central slice of f at lam and `pi_slice` compresses it; a caller holding
+only the slice, such as `transform.convolution_slice`, calls `pi_slice`.
+Two routes are kept:
 
 * ``route="quadrature"``: the weighted sum of pi_h over the group
   lattice, computed as the quantization (`symbols.kn_quantize`) of the
@@ -135,65 +138,64 @@ def big_c_fun(f: StateVector, g: StateVector, lam: float, h: GroupPoint) -> comp
 
 # -- field compression --------------------------------------------------------
 
-def _check_lambda(field: SampledField, lam: float) -> None:
-    band = field.grid.t_axis.freq_half_width
-    if not (0 < abs(lam) <= band):
-        raise ValueError(
-            f"lambda = {lam} outside the representable central band (0, {band}]"
-        )
-
-
-def _lambda_slice(field: SampledField, lam: float, s_targets: np.ndarray) -> np.ndarray:
-    """g2(x, s) = Dv^n Dt sum_{y,t} f(x,y,t) e^{2 pi i t lam} e^{2 pi i y.(sqrt|lam| s)}.
+def _lambda_slice(g1: np.ndarray, lam: float, fgrid: Grid, s_targets: np.ndarray) -> np.ndarray:
+    """g2(x, s) = Dv^n sum_y g1(x, y) e^{2 pi i y.(sqrt|lam| s)} of the central
+    slice g1(x, y) = Dt sum_t f(x,y,t) e^{2 pi i t lam}.
 
     Returns a (Nv^n, m) array over flattened x lattice and target rows s.
     """
-    grid = field.grid
-    n = grid.n
-    Nv = grid.axes[0].count
-    g1 = central_slice(field, lam).reshape(Nv ** n, Nv ** n)  # rows x, cols y
-    ys = flat_coords([ax.points() for ax in grid.y_axes])
+    n = fgrid.n
+    Nv = fgrid.axes[0].count
+    ys = flat_coords([ax.points() for ax in fgrid.y_axes])
     Ey = flat_phase(ys, np.sqrt(abs(lam)) * s_targets, +1)
-    return grid.axes[0].spacing ** n * (g1 @ Ey)
+    return fgrid.axes[0].spacing ** n * (g1.reshape(Nv ** n, Nv ** n) @ Ey)
 
 
 def pi_field(field: SampledField, lam: float, grid: LineGrid,
              route: str = "kernel", policy: str = "zero") -> FiberOperator:
-    """Compression pi_f^lam = int f(h) pi_h^lam dh as a FiberOperator."""
+    """Compression pi_f^lam = int f(h) pi_h^lam dh as a FiberOperator: the
+    central slice of f at lam, compressed by `pi_slice`."""
     if field.side != "group" or field.grid.group_dim is None:
         raise ValueError("pi_field expects a group-side field on a group grid")
+    return pi_slice(central_slice(field, lam), lam, field.grid, grid, route, policy)
+
+
+def pi_slice(fiber: np.ndarray, lam: float, field_grid: Grid, grid: LineGrid,
+             route: str = "kernel", policy: str = "zero") -> FiberOperator:
+    """pi_f^lam from fiber = central_slice(f, lam) of a field f on field_grid."""
     lam = float(lam)
-    _check_lambda(field, lam)
-    n = field.grid.n
+    band = field_grid.t_axis.freq_half_width
+    if not (0 < abs(lam) <= band):
+        raise ValueError(f"lambda = {lam} outside the representable central band (0, {band}]")
+    n = field_grid.n
     if grid.dim != n:
         raise ValueError(f"state dimension {grid.dim} != group rank {n}")
     if policy not in ("zero", "wrap"):
         raise ValueError(f"unknown policy {policy!r}")
+    if route not in ("quadrature", "kernel"):
+        raise ValueError(f"unknown route {route!r}")
+    g2 = _lambda_slice(fiber, lam, field_grid, grid.flat_points())  # (Nv^n, size)
+    del fiber  # a slice the caller passed as a temporary is freed here
     if route == "quadrature":
-        return _pi_field_quadrature(field, lam, grid)
-    if route == "kernel":
-        return _pi_field_kernel(field, lam, grid, policy)
-    raise ValueError(f"unknown route {route!r}")
+        return _pi_quadrature(g2, lam, field_grid, grid)
+    return _pi_kernel(g2, lam, field_grid, grid, policy)
 
 
-def _pi_field_quadrature(field: SampledField, lam: float, grid: LineGrid) -> FiberOperator:
+def _pi_quadrature(g2: np.ndarray, lam: float, fgrid: Grid, grid: LineGrid) -> FiberOperator:
     """Quantization of vw sum_x g2(x, s) e^{2 pi i xi.(sgn(lam) sqrt|lam| x)},
     the symbol of the x-lattice sum vw sum_x g2(x, s) pi_(x,0,0)."""
-    g2 = _lambda_slice(field, lam, grid.flat_points())  # (Nv^n, size)
-    xs = flat_coords([ax.points() for ax in field.grid.x_axes])
+    xs = flat_coords([ax.points() for ax in fgrid.x_axes])
     root = np.sign(lam) * np.sqrt(abs(lam))
-    vw = field.grid.axes[0].spacing ** field.grid.n
+    vw = fgrid.axes[0].spacing ** fgrid.n
     a = vw * flat_phase(grid.flat_freqs(), root * xs, +1) @ g2  # [xi, s]
     return kn_quantize(SymbolGrid(lam, grid, a))
 
 
-def _pi_field_kernel(field: SampledField, lam: float, grid: LineGrid,
-                     policy: str) -> FiberOperator:
-    fgrid = field.grid
+def _pi_kernel(g2: np.ndarray, lam: float, fgrid: Grid, grid: LineGrid,
+               policy: str) -> FiberOperator:
     n = fgrid.n
     Nv = fgrid.axes[0].count
     s_flat = grid.flat_points()  # (size, n)
-    g2 = _lambda_slice(field, lam, s_flat)  # (Nv^n, size)
     root = np.sqrt(abs(lam))
     if policy == "zero":
         # y-side evaluation beyond the horizontal dual band aliases; the

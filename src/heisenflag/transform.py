@@ -17,10 +17,10 @@ e^{-2 pi i lam x'.y} e^{+2 pi i lam x'.y'}. Each fiber gathers its
 (x', x, eta) products in blocks of at most _BLOCK_ELEMENTS complex
 values, takes each block to y with one batched inverse FFT, and sums it
 over x' against the phase table; the N^{3n}-element product (268 MiB at
-n = 2, N = 16) is never held whole. `convolve` makes every f^lam at once
-with one FFT, in the array that becomes its output, and takes g^lam one
-fiber at a time as `central_slice(g, -lam)`: a pass over g per fiber,
-O(N^{2n} Nt^2) work on the t side, with one fiber of g held at a time.
+n = 2, N = 16) is never held whole. `convolution_slice` makes one fiber
+of f * g from one central slice of each operand, `central_slice(., -lam)`,
+for a caller that reads f * g at a few central frequencies; `convolve`
+writes every fiber from it into its output and transforms back in t.
 """
 
 from __future__ import annotations
@@ -186,31 +186,43 @@ def twisted_fiber_product(fv: np.ndarray, gv: np.ndarray, lam: float,
 def convolve(f: SampledField, g: SampledField) -> SampledField:
     """Group convolution (f * g)(h) = int f(h') g(h'^{-1} h) dh'.
 
-    f's weighted t-transform is made in the array that becomes the output,
-    and each of its fibers m is overwritten by the twisted product with
-    g's fiber m, `central_slice(g, -lam_m)`, taken one at a time; the
-    inverse t-transform runs in place. Above its inputs this holds one
-    field and one fiber (about 1.30 field sizes). Each slice is a pass
-    over g, so g's fibers cost O(N^{2n} Nt^2) where an FFT would cost
-    O(N^{2n} Nt log Nt); per fiber that is O(N^{2n} Nt) against the
-    twisted product's O(N^{3n} log N).
+    Fiber m of f * g, at central frequency lam_m, is
+    `convolution_slice(f, g, -lam_m)`; each is written into the output in
+    turn, and the inverse t-transform runs in place. Above its inputs this
+    holds one field and a few fibers (about 1.32 field sizes). The Nt
+    twisted products, O(N^{3n} log N) each, dominate; the slices of f and g
+    cost O(N^{2n} Nt) each.
     """
-    _require_group_layout(f)
-    _require_side(f, "group")
-    _require_side(g, "group")
+    grid = f.grid
+    out = np.empty(grid.shape, dtype=complex)
+    for m, lam in enumerate(grid.t_axis.freqs()):
+        out[..., m] = convolution_slice(f, g, -lam)
+    centered_fft_inplace(out, 2 * grid.n, inverse=True)
+    out /= grid.t_axis.spacing
+    return SampledField(grid, out)
+
+
+def convolution_slice(f: SampledField, g: SampledField, lam: float) -> np.ndarray:
+    """central_slice(convolve(f, g), lam) without forming f * g: the twisted
+    product of the lam slices of f and g, one fiber in place of Nt.
+
+    The twist is the lattice frequency -lam wrapped into [-band, band):
+    -lam on every interior bin, and -band at lam = +-band, the two ends of
+    the one t Nyquist bin. pi_{f*g} = pi_f pi_g at lam = -band would need
+    the twist +band, so it fails there, as `group_reflect` does on that
+    bin. lam must lie on the t dual lattice; off it a slice of f * g mixes
+    fibers.
+    """
     if f.grid != g.grid:
         raise ValueError("operands must share a grid")
-    grid = f.grid
-    t_ax = 2 * grid.n
-    dt = grid.t_axis.spacing
-    out = centered_dft(f.values, t_ax)
-    out *= dt
-    for m, lam in enumerate(grid.t_axis.freqs()):
-        out[..., m] = twisted_fiber_product(out[..., m], central_slice(g, -lam),
-                                            float(lam), grid)
-    centered_fft_inplace(out, t_ax, inverse=True)
-    out /= dt
-    return SampledField(grid, out)
+    t_axis = f.grid.t_axis
+    k = float(lam) / t_axis.freq_spacing
+    if not (np.isfinite(k) and abs(k - round(k)) <= 1e-9):
+        raise ValueError(f"lambda = {lam} is off the t dual lattice "
+                         f"(spacing {t_axis.freq_spacing})")
+    twist = t_axis.freqs()[(t_axis.count // 2 - round(k)) % t_axis.count]
+    return twisted_fiber_product(central_slice(f, lam), central_slice(g, lam),
+                                 float(twist), f.grid)
 
 
 def lambda_filter(f: SampledField, window: LambdaWindow) -> SampledField:

@@ -1,4 +1,7 @@
-"""Shared grids for the test suite; stock inputs come from heisenflag.checks."""
+"""Shared grids and helpers for the test suite; stock inputs come from
+heisenflag.checks."""
+
+import tracemalloc
 
 from heisenflag.grids import LineGrid, group_grid, self_dual_line
 
@@ -15,3 +18,14 @@ GROUPWIDE = group_grid(1, 64, 4.0, 64, 8.0)
 
 LINE64 = self_dual_line(64)          # L = 4, self-dual lattice
 LINE128 = LineGrid(128, 6.0)         # roomy grid for representation draws
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -20,6 +20,7 @@ from heisenflag.jets import evaluate, truncation
 from heisenflag.kernels import parse_tape
 from heisenflag.schrodinger import StateVector, _lambda_slice
 from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, fiber_symbol, kn_quantize
+from heisenflag.transform import central_slice
 
 
 def dft_literal(values: np.ndarray) -> np.ndarray:
@@ -181,7 +182,8 @@ def pi_field_quadrature_dense(field: SampledField, lam: float,
     """Quadrature route of `pi_field` as the literal sum over the field's
     x-lattice of g2(x, s) times the dense shift matrix of sgn(lam) sqrt|lam| x,
     one size^3 product per lattice point."""
-    g2 = _lambda_slice(field, lam, grid.flat_points())  # (Nv^n, size)
+    g2 = _lambda_slice(central_slice(field, lam), lam, field.grid,
+                       grid.flat_points())  # (Nv^n, size)
     pts = grid.flat_points()
     frq = grid.flat_freqs()
     W = flat_phase(frq, pts, -1)

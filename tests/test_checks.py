@@ -1,5 +1,7 @@
 import numpy as np
 
+from common import traced_peak
+
 from heisenflag.checks import (
     BATTERY,
     check_context,
@@ -56,3 +58,16 @@ def test_check_context_keys_seed_and_name():
     assert all(a != b for i, a in enumerate(seeds) for b in seeds[i + 1:])
     assert draws(0) == draws(0)
     assert draws(0) != draws(0, "transform/fourier-roundtrip")
+
+
+def test_convolution_homomorphism_check_memory():
+    # the check reads f * g at two fibers; forming the whole convolution on
+    # the wide grid peaked at 3.35 wide-field sizes, two convolution slices
+    # peak at about 2.4
+    name = "schrodinger/convolution-homomorphism"
+    check = next(c for c in BATTERY if c.name == name)
+    ctx = check_context(0, name)
+    size = 16 * np.prod(ctx.wide.shape)
+    err, peak = traced_peak(check.run, ctx)
+    assert err <= check.tol
+    assert peak < 3 * size

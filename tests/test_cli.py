@@ -360,6 +360,42 @@ def run_module(*args, **env_vars):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.mark.parametrize("v_half_width", [1e-300, 1e300])
+def test_cell_weight_out_of_float_range_is_a_config_error(tmp_path, v_half_width):
+    # the cell weight underflows to 0 or overflows: refused at load, before
+    # any compute, where a lattice spike divided by it and a twisted
+    # product overflowed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v_half_width": v_half_width}))
+    proc = run_module("identities", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cell weight" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_underflowing_reference_operator_exits_numerical(tmp_path):
+    # the weight is in range, but a compressed field underflows to 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v_half_width": 1e-150}))
+    proc = run_module("identities", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "numerical failure: the reference operator" in proc.stderr
+
+
+def test_identities_on_a_t_axis_whose_dual_lattice_misses_one_half(tmp_path):
+    # t_half_width 7.5 puts the t dual lattice at multiples of 1/15; the
+    # convolution check reads f * g at the nearest lattice fibers, 0.5333
+    out = tmp_path / "run"
+    with redirect_stdout(io.StringIO()):
+        code = main(["identities", "--grid", "16,4.0,64,7.5", "--out", str(out)])
+    assert code != EXIT_CONFIG
+    row = json.loads((out / "run.json").read_text())["summary"]["results"][
+        "schrodinger/convolution-homomorphism"]
+    assert row["pass"], row
+
+
 IMPORT_FOOTPRINT = """
 import sys
 import heisenflag

@@ -25,10 +25,12 @@ from heisenflag.schrodinger import (
     load_operator,
     pi_field,
     pi_point,
+    pi_slice,
     save_operator,
 )
 from heisenflag.symbols import FiberOperator
-from heisenflag.transform import central_slice_energy, convolve, gaussian_field, spike_field
+from heisenflag.transform import (central_slice, central_slice_energy, convolve, gaussian_field,
+                                  spike_field)
 
 
 def random_group_point(rng, scale=0.5, t_scale=1.0):
@@ -252,6 +254,18 @@ def test_pi_field_convolution_homomorphism():
         rhs = pi_field(f, lam, LINE64) @ pi_field(g, lam, LINE64)
         rel = hs_norm(FiberOperator(lam, LINE64, lhs.matrix - rhs.matrix)) / hs_norm(lhs)
         assert rel < 1e-5
+
+
+def test_pi_slice_of_the_central_slice_is_pi_field():
+    rng = np.random.default_rng(49)
+    f = random_field(GROUPWIDE, rng, modulation_scale=0.3)
+    for lam in (0.5, -0.25):
+        fiber = central_slice(f, lam)
+        for route in ("kernel", "quadrature"):
+            for policy in ("zero", "wrap"):
+                got = pi_slice(fiber, lam, GROUPWIDE, LINE64, route, policy)
+                want = pi_field(f, lam, LINE64, route, policy)
+                assert np.array_equal(got.matrix, want.matrix), (lam, route, policy)
 
 
 def test_pi_field_band_validation():

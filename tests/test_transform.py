@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import integrate
 
-from common import GROUP16, GROUP32, GROUP8, GROUPWIDE
+from common import GROUP16, GROUP32, GROUP8, GROUPWIDE, traced_peak
 from oracles import (
     direct_convolution,
     gaussian_field_meshgrid,
@@ -29,6 +27,7 @@ from heisenflag.transform import (
     _lattice_xy,
     central_slice,
     central_slice_energy,
+    convolution_slice,
     convolve,
     fourier,
     gaussian_field,
@@ -79,7 +78,7 @@ DYADIC_T_HALF_WIDTH = {64: 8.0, 256: 16.0}
 
 @pytest.mark.parametrize("t_count", [2, 4, 8, 64, 256])
 def test_central_slice_is_the_weighted_t_transform_fiber(t_count):
-    # convolve takes g's fiber m as central_slice(g, -lam_m)
+    # convolve takes the fibers m of f and g as central_slice(., -lam_m)
     rng = np.random.default_rng(34)
 
     def worst_gap(f):
@@ -134,24 +133,14 @@ def test_gaussian_field_matches_meshgrid_oracle(grid):
             assert np.array_equal(got, gaussian_field_meshgrid(grid, **kw))
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory it allocates, in bytes."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 def test_group_field_memory_in_field_sizes():
     # a 64^3 complex field is 4 MiB; full-mesh Gaussians peaked at 4.5
     # field sizes. Shift copies made a centered transform 3.0 field sizes
-    # and star_involution 4.0. convolve, which takes g one central slice
-    # at a time, is 1.30 above its inputs; it was 1.53 while it transformed
-    # g a quarter of the fibers at a time, 3.05 while it held both
-    # operands transformed, and 5.05 before that
+    # and star_involution 4.0. convolve, which takes f and g one central
+    # slice at a time, is 1.32 above its inputs; it was 1.30 while it
+    # transformed f whole, 1.53 while it transformed g a quarter of the
+    # fibers at a time, 3.05 while it held both operands transformed, and
+    # 5.05 before that
     size = 16 * np.prod(GROUPWIDE.shape)
     av, at = balanced_rates(GROUPWIDE)
     f, peak = traced_peak(gaussian_field, GROUPWIDE, av, at, 0.5)
@@ -196,6 +185,25 @@ def test_operations_leave_their_inputs_unchanged():
     assert not np.shares_memory(h.values, f.values)
 
 
+def test_convolution_slice_is_the_slice_of_the_convolution():
+    # convolve writes these fibers and transforms back in t; central_slice
+    # reads each back, on white noise that fills every t bin, the Nyquist
+    # bin -band (= +band) included
+    rng = np.random.default_rng(30)
+    for grid in (GROUP16, group_grid(2, 8, 4.0, 16, 8.0)):
+        f, g = noise_field(grid, rng), noise_field(grid, rng)
+        fg = convolve(f, g)
+        band = grid.t_axis.freq_half_width
+        for lam in (*grid.t_axis.freqs(), band):
+            want = central_slice(fg, lam)
+            got = convolution_slice(f, g, lam)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lam
+        step = grid.t_axis.freq_spacing
+        for lam in (0.5 * step, 0.25 + 0.3 * step, np.nan):
+            with pytest.raises(ValueError, match="off the t dual lattice"):
+                convolution_slice(f, g, lam)
+
+
 def test_convolution_matches_direct_oracle():
     # g's fibers are central slices; t_count 2 is the shortest t axis
     rng = np.random.default_rng(25)
@@ -234,12 +242,7 @@ def test_convolve_memory_at_rank_two():
     grid = group_grid(2, 16, 4.0, 2, 8.0)
     rng = np.random.default_rng(41)
     f, g = (noise_field(grid, rng) for _ in range(2))
-    tracemalloc.start()
-    try:
-        h = convolve(f, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = traced_peak(convolve, f, g)
     assert peak < 32 * 2 ** 20
     lam = float(grid.t_axis.freqs()[0])  # -1/16
     fiber = central_slice(h, -lam)
