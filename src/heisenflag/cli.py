@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_identity_battery
-from .grids import LineGrid, _is_pow2, group_grid, self_dual_line
+from .grids import Axis, LineGrid, _is_pow2, self_dual_line
 from .inversion import (
     SIGMA_FLOOR,
     FiberInversionError,
@@ -112,9 +112,12 @@ class ExperimentConfig:
             if not (math.isfinite(getattr(self, name)) and ok):
                 raise ConfigError(f"{name} must be finite and {rule}, "
                                   f"got {getattr(self, name)}")
-        # a cell weight of 0 or inf: no reciprocal for a spike, no product
+        # a cell weight of 0 or inf: no reciprocal for a spike, no product.
+        # In closed form: the grid itself would hold 2n axes, any n
         for nv in (self.v_count, 2 * self.v_count):  # the battery's grids
-            w = group_grid(self.n, nv, self.v_half_width, self.t_count, self.t_half_width).weight
+            with np.errstate(over="ignore"):
+                w = float(np.float64(Axis(nv, self.v_half_width).spacing) ** (2 * self.n)
+                          * Axis(self.t_count, self.t_half_width).spacing)
             if not (0.0 < w < math.inf and 1.0 / w < math.inf):
                 raise ConfigError(f"the group grid with {nv} v points has cell "
                                   f"weight {w}, out of the float range")

@@ -8,10 +8,11 @@ ones "dual side". The one mixed field is a symbol table read as a field
 the position side.
 
 Band-limited evaluation treats the samples as coefficients of the unique
-trigonometric interpolant. `eval_at` evaluates it at scattered query rows;
-`eval_lattice` evaluates it over the tensor lattice of one 1-d array per
-axis by sum factorization, one interpolation matrix per axis (symbol tables
-are evaluated through both). A query coordinate is outside the footprint
+trigonometric interpolant. `eval_at` evaluates it, or one of its exact
+partial derivatives, at scattered query rows; `eval_lattice` evaluates it
+over the tensor lattice of one 1-d array per axis by sum factorization,
+one interpolation matrix per axis (symbol tables are evaluated through
+both). A query coordinate is outside the footprint
 when it is < -H(1 + 4 eps) or >= H, where H is that axis's half-width on
 its current side and eps the float64 machine epsilon; the slack below -H
 keeps a lattice edge that went through rounding arithmetic (the inverse
@@ -129,8 +130,15 @@ class SampledField:
                 signs.append(+1)
         return coeff, modes, signs
 
-    def eval_at(self, points: np.ndarray, policy: str = "zero") -> np.ndarray:
-        """Trigonometric interpolation at arbitrary points, shape (m, ndim)."""
+    def eval_at(self, points: np.ndarray, policy: str = "zero",
+                derivative=None) -> np.ndarray:
+        """Trigonometric interpolation at arbitrary points, shape (m, ndim).
+
+        `derivative`, one order k per axis, differentiates the interpolant
+        exactly: each axis's interpolation row is scaled mode by mode by
+        (sign 2 pi i mode)^k. Under "edge" a clamped row reads the
+        derivative at its clamped point.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.ndim:
             raise ValueError(f"points must have {self.grid.ndim} columns")
@@ -143,6 +151,8 @@ class SampledField:
         out = None
         for i, col in enumerate(cols):
             e = np.exp(signs[i] * 2j * np.pi * col[:, None] * modes[i][None, :])
+            if derivative is not None and derivative[i]:
+                e *= (signs[i] * 2j * np.pi * modes[i]) ** derivative[i]
             if out is None:
                 out = np.tensordot(e, coeff, axes=(1, 0))
             else:

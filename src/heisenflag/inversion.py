@@ -19,26 +19,31 @@ judged against an absolute singular-value floor rather than the condition
 limit alone.
 
 The inverse tables read off the records glue to a new symbol family on
-covariable space through the inverse parabolic frame map; that family
-supports the same seminorm scans, fiber sampling and derivative identities
-as the input, which is the numerical content of inverse-closedness.
+covariable space through the inverse parabolic frame map, defined at the
+run's fibers; it supports the same seminorm scans and fiber sampling as
+the input, which is the numerical content of inverse-closedness. Its
+derivatives are exact on each table's band-limited interpolant in w and
+the records' Leibniz rows in lam, joined by the frame map's chain rule
+as a `jets` pass; only `invert_flag` factorizes a fiber.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .finitediff import H_REL, stencil
 from .grids import LineGrid
+from .jets import Tape, evaluate, truncation
 from .schrodinger import gramian, hs_norm, save_operator
 from .transform import convolve
 from .symbols import (
@@ -46,7 +51,6 @@ from .symbols import (
     Spectrum,
     SymbolGrid,
     _refuse_non_finite,
-    evaluate_symbol,
     fiber_symbol,
     kn_quantize,
     kn_symbol_of,
@@ -339,44 +343,90 @@ def _table_coordinates(w_xi, w_s, mu: float) -> tuple:
 class ReconstructedSpectrum(Spectrum):
     """Inverse family glued from the per-fiber inverse tables of a run.
 
-    Evaluation at (w, mu) looks up the fiber at -mu through the inverse
-    parabolic frame map, in the table of the run's record; a fiber missing
-    there is inverted on demand into the family's own copy of the records
-    (the run, and what `save` writes, stay as they were), so the family
-    supports finite differencing in the central frequency. Records that
-    share one B read its table once. Rows outside a table footprint are
-    clamped ("edge") and counted in `clipped_rows`; `on_lattice`, which
-    `fiber_symbol` samples through, maps and counts one axis at a time.
+    Evaluation at (w, mu) reads the table of the record at -mu through the
+    inverse parabolic frame map. The family is defined at its run's fibers:
+    any other mu, mu = 0 included, raises `ValueError` naming the fiber,
+    and nothing is inverted here. Records that share one B read its table
+    once. Rows outside a table footprint are clamped ("edge") and counted
+    in `clipped_rows`; `on_lattice`, which `fiber_symbol` samples through,
+    maps and counts one axis at a time.
     """
 
     def __init__(self, result: InversionResult):
         super().__init__(result.grid.dim)
-        self.base, self.grid, self.cond_limit = result.spec, result.grid, result.cond_limit
-        self.fibers = dict(result.fibers)
+        self.base, self.grid, self.fibers = result.spec, result.grid, result.fibers
         self.clipped_rows = 0
         self._tables: dict[int, tuple] = {}     # id(B) -> (B, its table values)
 
     def inverse_table(self, lam: float) -> SymbolGrid:
-        """Table of the inverse fiber at lam."""
+        """Table of the inverse fiber at lam, a fiber of the run."""
         lam = float(lam)
-        fiber = self.fibers.get(lam)
-        if fiber is None:
-            a = kn_quantize(fiber_symbol(self.base, lam, self.grid))
-            fiber = self.fibers[lam] = invert_fiber(a, self.cond_limit)
-        b = fiber.b.matrix
-        if id(b) not in self._tables:       # the entry keeps B, so its id stays B's
-            self._tables[id(b)] = (b, kn_symbol_of(fiber.b).values)
-        return SymbolGrid(lam, self.grid, self._tables[id(b)][1])
+        if lam not in self.fibers:      # + 0.0 names mu = 0 as lam=0, not -0
+            raise ValueError(f"the glued inverse has no fiber at lam={lam + 0.0:g}: "
+                             "it is defined at its run's fibers")
+        b = self.fibers[lam].b
+        if id(b.matrix) not in self._tables:    # the entry keeps B, so its id stays B's
+            self._tables[id(b.matrix)] = (b.matrix, kn_symbol_of(b).values)
+        return SymbolGrid(lam, self.grid, self._tables[id(b.matrix)][1])
 
     def _evaluate(self, W, lam):
-        out = np.empty(W.shape[0], dtype=complex)
-        for mu in np.unique(lam):
+        return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
+
+    def derivatives(self, indices, W, lam):
+        """Rows d_w^alpha d_mu^beta, exact on each table's interpolant.
+
+        At one mu the family is T(lam; u) at the table coordinates lam = -mu
+        and u = (sgn(mu) w_xi, -w_s) / sqrt|mu| (the inverse frame map), so
+        its jet is the sum over (gamma, j) with |gamma| + j up to the
+        truncation's degree of
+
+            d^gamma T_j(u0) du^gamma / gamma! (-dmu)^j / j!,
+
+        with T_j the table of the record's Leibniz row B^(j) (from A's
+        stencil derivatives, as `derivative_report` takes them), du the jet
+        of u less u0 (a `jets` pass) and d^gamma T_j one `eval_at`. u0 is
+        `_table_coordinates`, so order 0 is the table's interpolant there.
+        """
+        W, lam = self._rows(W, lam)
+        mus = np.unique(lam)
+        # every table first: a fiber off the run is refused before evaluating
+        tables = {mu: [symbol_field(self.inverse_table(-mu))] for mu in mus}
+        d, beta_max = 2 * self.n, max((b for _, b in indices), default=0)
+        tr = truncation(d, max((sum(a) for a, _ in indices), default=0), beta_max)
+        tape = Tape()
+        scale = tape.power(tape.abs(tape.var(d)), -0.5)
+        out = np.empty((len(indices), W.shape[0]), complex)
+        for mu in mus:
             rows = lam == mu
-            tab = self.inverse_table(-mu)
-            xi, s = _table_coordinates(W[rows, :self.n], W[rows, self.n:], mu)
-            outside = symbol_field(tab).out_of_footprint(np.hstack([xi, s]))
-            self.clipped_rows += int(np.sum(outside))
-            out[rows] = evaluate_symbol(tab, xi, s, policy="edge")
+            if beta_max:
+                fiber = self.fibers[-mu]
+                db = _inverse_derivatives(
+                    fiber, _table_derivatives(self.base, fiber, beta_max), beta_max)
+                tables[mu] += [symbol_field(kn_symbol_of(FiberOperator(-mu, self.grid, m)))
+                               for m in db[1:]]
+            points = np.hstack(_table_coordinates(W[rows, :self.n], W[rows, self.n:], mu))
+            self.clipped_rows += int(np.sum(tables[mu][0].out_of_footprint(points)))
+            # the jets of (u, lam) less their values, and their products
+            # du^gamma / gamma!, each from the next lower gamma by one product
+            columns = [*W[rows].T, np.full(len(points), mu)]
+            signs = [np.sign(mu)] * self.n + [-1.0] * self.n
+            du = [sign * evaluate(tape.program(tape.mul(tape.var(k), scale)), tr, columns)
+                  for k, sign in enumerate(signs)]
+            du.append(-evaluate(tape.program(tape.var(d)), tr, columns))
+            for x in du:
+                x[0] = 0.0
+            powers = {(0,) * (d + 1): np.eye(tr.size, 1)}     # the constant jet 1
+            for gamma in sorted(itertools.product(*[range(tr.degree + 1)] * d,
+                                                  range(beta_max + 1)), key=sum):
+                if 0 < sum(gamma) <= tr.degree:
+                    k = max(np.flatnonzero(gamma))
+                    lower = gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:]
+                    powers[gamma] = tr.mul(powers[lower], du[k]) / gamma[k]
+            jet = sum(tables[mu][gamma[-1]].eval_at(points, "edge", gamma[:-1]) * power
+                      for gamma, power in powers.items())
+            for row, (alpha, beta) in zip(out, indices):
+                k = tr.index[(*alpha, beta)]
+                row[rows] = tr.factorials[k] * jet[k]
         return out
 
     def on_lattice(self, axes, lam):
@@ -419,6 +469,36 @@ def verify_inverse(result: InversionResult) -> dict:
     return report
 
 
+# the step of every difference, relative to the scale of its coordinate
+H_REL = 0.02
+
+
+@lru_cache(maxsize=None)
+def stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of the smallest symmetric stencil for d^order at
+    unit spacing that is 4th-order accurate; divide by spacing**order.
+
+    One-sided rules would waste the parity bonus. The weights are exactly
+    symmetric for even orders and antisymmetric for odd ones, so an odd
+    order weighs the center by 0.0.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if order == 0:
+        return np.array([0]), np.array([1.0])
+    half_width = (order + 4 - 1) // 2     # 4th-order accurate
+    offsets = np.arange(-half_width, half_width + 1)
+    # moment conditions: sum_o c_o o^k / k! = [k == order]
+    rows = np.vander(offsets.astype(float), len(offsets), increasing=True).T
+    rows /= np.array([math.factorial(k) for k in range(len(offsets))])[:, None]
+    rhs = np.zeros(len(offsets))
+    rhs[order] = 1.0
+    weights = np.linalg.solve(rows, rhs)
+    # the exact weights are (anti)symmetric with the order; the solve's
+    # rounding is not, and would leave residue where the weight is zero
+    return offsets, (weights + (-1) ** order * weights[::-1]) / 2
+
+
 def _table_derivatives(spec, fiber: Fiber, m_max: int) -> list:
     """[None, A^(1), ..., A^(m_max)] at fixed table coordinates.
 
@@ -429,8 +509,6 @@ def _table_derivatives(spec, fiber: Fiber, m_max: int) -> list:
     with a non-finite entry raises `LinAlgError` naming the node.
     """
     lam, grid = fiber.b.lam, fiber.b.grid
-    if lam == 0.0:
-        raise ValueError("derivative check needs a nonzero central frequency")
     h = H_REL * abs(lam)
     weights = [dict(zip(*stencil(k))) for k in range(1, m_max + 1)]
     sums = [0.0] * m_max

@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from .fields import SampledField
-from .finitediff import H_REL, partial_cloud
 from .grids import Axis, Grid, LineGrid, flat_coords, offset_table
 from .jets import evaluate, truncation
 from .transform import fourier, inverse_fourier
@@ -179,11 +178,15 @@ def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
 class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
-    Subclasses implement `_evaluate(W, lam)`. Its two other hooks are
-    `on_lattice`, through which `fiber_symbol` samples every fiber table,
-    and `derivatives`, finite differences unless a family overrides them
-    with exact rows. Whether a fiber is Hermitian is a property of its
-    quantized matrix, which strict inversion measures, not of the family.
+    Subclasses implement `_evaluate(W, lam)`. A family that is fiber
+    sampled or scanned also implements `on_lattice(axes, lam)`, through
+    which `fiber_symbol` samples every fiber table, and
+    `derivatives(indices, W, lam)`, the rows d_w^alpha d_lam^beta that the
+    flag scans read; both families here compute them exactly, by a jet
+    pass (`SympySpectrum`) or on a glued table's band-limited interpolant
+    (`inversion.ReconstructedSpectrum`). Whether a fiber is Hermitian is a
+    property of its quantized matrix, which strict inversion measures, not
+    of the family.
     """
 
     def __init__(self, n: int):
@@ -200,33 +203,8 @@ class Spectrum:
     def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
         return self._evaluate(*self._rows(W, lam))
 
-    def on_lattice(self, axes: list, lam: float) -> np.ndarray:
-        """Values on the tensor lattice of one 1-d array per covariable at
-        one lam, flattened row-major with the last axis fastest."""
-        return self(flat_coords(axes), lam)
-
     def _evaluate(self, W: np.ndarray, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def derivatives(self, indices: Sequence, W: np.ndarray,
-                    lam: np.ndarray | float) -> np.ndarray:
-        """Rows d_w^alpha d_lam^beta a(W, lam), one per (alpha, beta).
-
-        Central differences, one batched call per index: each row steps w
-        by H_REL (||w|| + sqrt|lam|) and lam by H_REL |lam|, clear of the
-        |lam| kink at zero. A row at lam = 0 has no step and raises
-        `ValueError` before anything is evaluated.
-        """
-        W, lam = self._rows(W, lam)
-        h_w = H_REL * (np.linalg.norm(W, axis=1) + np.sqrt(np.abs(lam)))
-        h = np.column_stack([h_w] * (2 * self.n) + [H_REL * np.abs(lam)])
-
-        def joint(q):
-            return self(q[:, :-1], q[:, -1])
-
-        q = np.column_stack([W, lam])
-        return np.array([partial_cloud(joint, q, (*alpha, beta), h)
-                         for alpha, beta in indices])
 
 
 class SympySpectrum(Spectrum):

@@ -6,20 +6,20 @@ two is evidence, not tautology.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import sympy as sp
 
 from heisenflag.fields import SampledField
-from heisenflag.finitediff import stencil
 from heisenflag.grids import Grid, LineGrid, flat_coords, flat_phase
 from heisenflag.group import GroupPoint
 from heisenflag import jets
-from heisenflag.inversion import invert_fiber
+from heisenflag.inversion import invert_fiber, invert_flag, stencil
 from heisenflag.jets import evaluate, truncation
 from heisenflag.kernels import parse_tape
 from heisenflag.schrodinger import StateVector, _lambda_slice
-from heisenflag.symbols import FiberOperator, Spectrum, SymbolGrid, fiber_symbol, kn_quantize
+from heisenflag.symbols import FiberOperator, SymbolGrid, fiber_symbol, kn_quantize
 from heisenflag.transform import central_slice
 
 
@@ -253,18 +253,6 @@ def c_fun_shift_loop(f: StateVector, g: StateVector) -> np.ndarray:
     return grid.weight * out.reshape(grid.shape + grid.shape)
 
 
-class CallableSpectrum(Spectrum):
-    """A family given by a plain function of (W, lam) and no derivatives,
-    so the seminorm scans read the base class's finite differences."""
-
-    def __init__(self, n: int, fun):
-        super().__init__(n)
-        self._fun = fun
-
-    def _evaluate(self, W, lam):
-        return np.asarray(self._fun(W, lam))
-
-
 def flag_symbols(n: int, real: bool = False) -> tuple:
     """Sympy symbols w1..w_{2n}, lam; `real=True` makes |lam|
     differentiate to sign(lam) rather than through re/im parts."""
@@ -437,3 +425,32 @@ def node_inverse_derivative(spec, lam: float, grid, order: int = 1,
         if not out["zero_to_rounding"]:
             out["identity_rel"] = num / max(db_norm, float(np.linalg.norm(rhs, 2)))
     return out
+
+
+def glued_difference_rows(spec, grid, indices, W, mu: float, h_rel: float) -> np.ndarray:
+    """d_w^alpha d_mu^beta of the glued inverse of `spec` at rows W and one
+    mu, by central differences of the glued family's values alone.
+
+    The product of the per-axis rules of `stencil` steps every w axis by
+    h_rel sqrt|mu|, which is h_rel in table coordinates, and mu by
+    h_rel |mu|. The family comes from a run of `invert_flag` over every
+    mu node mu + o h_rel |mu| of the rules, so the mu differences
+    see independently inverted fibers and not the Leibniz rule.
+    """
+    def rule(order):
+        return list(zip(*stencil(order)))
+
+    d = 2 * spec.n
+    nodes = sorted({o for _, b in indices for o, _ in rule(b)})
+    hw, hm = h_rel * np.sqrt(abs(mu)), h_rel * abs(mu)
+    glued = invert_flag(spec, [-(mu + o * hm) for o in nodes], grid).spectrum()
+    out = []
+    for alpha, beta in indices:
+        total = 0.0
+        for taps in itertools.product(*map(rule, alpha), rule(beta)):
+            weight = np.prod([w for _, w in taps])
+            if weight:
+                off = np.array([o for o, _ in taps], dtype=float)
+                total = total + weight * glued(W + off[:d] * hw, mu + off[d] * hm)
+        out.append(total / (hw ** sum(alpha) * hm ** beta))
+    return np.array(out)

@@ -669,6 +669,7 @@ JSON_VALUES = st.one_of(
                        JSON_VALUES, max_size=6))
 @example({"lambda_max": float("inf")})  # passed validate(), overflowed the ladder
 @example({"rmax": float("inf")})
+@example({"n": 3118315334})  # validate() built 2n axes to read the cell weight
 def test_load_config_fuzz_validates_or_rejects(tmp_path_factory, data):
     cfgfile = tmp_path_factory.getbasetemp() / "fuzz.json"
     cfgfile.write_text(json.dumps(data))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from common import GROUP32
-from oracles import node_inverse_derivative
+from oracles import glued_difference_rows, node_inverse_derivative
 
 from heisenflag.checks import random_field
 from heisenflag.cli import ExperimentConfig
@@ -18,6 +18,7 @@ from heisenflag.inversion import (
     FiberInversionError,
     SymmetryError,
     _inverse_derivatives,
+    _table_coordinates,
     _table_derivatives,
     derivative_report,
     gramian_lower_bound,
@@ -30,6 +31,7 @@ from heisenflag.inversion import (
 )
 from heisenflag.kernels import CATALOG, make_spectrum
 from heisenflag.symbols import (
+    evaluate_symbol,
     fiber_axes,
     fiber_symbol,
     field_of_spectrum,
@@ -224,9 +226,9 @@ def test_lattice_clipped_rows_match_flat_rows(monkeypatch):
     lattice, flat = res.spectrum(), res.spectrum()
     rows, eval_at = [], SampledField.eval_at
 
-    def counted(self, points, policy="zero"):
+    def counted(self, points, *args, **kwargs):
         rows.append(len(points))
-        return eval_at(self, points, policy)
+        return eval_at(self, points, *args, **kwargs)
 
     monkeypatch.setattr(SampledField, "eval_at", counted)
     # fiber_symbol samples the glued family one axis at a time, not row by row
@@ -279,7 +281,7 @@ def test_fiber_records_serve_every_consumer(monkeypatch, tmp_path):
     # carry their own lam, which the derivative scan reads its nodes off.
     # The scan calls invert_fiber at no order (its probe inverts the
     # stencil nodes by LU), verification inverts nothing, and the glued
-    # family inverts a missing fiber once
+    # family is defined at the run's fibers only: it inverts nothing
     cfg = ExperimentConfig()
     calls = count_inversions(monkeypatch)
     res = invert_flag(cfg.spectrum(), cfg.lam_values(), cfg.state())
@@ -297,14 +299,65 @@ def test_fiber_records_serve_every_consumer(monkeypatch, tmp_path):
     assert calls == []
     glued = res.spectrum()
     W = np.array([[0.3, -0.7]])
-    glued(W, 3.0)
-    assert calls == [-3.0]
-    # the on-demand fiber goes into the family's copy, not into the run
+    with pytest.raises(ValueError, match="no fiber at lam=-3:"):
+        glued(W, 3.0)
+    assert calls == []
     assert set(res.fibers) == set(cfg.lam_values())
     assert len(res.save(tmp_path)) == 2 + len(cfg.lam_values())
     assert len(list(tmp_path.glob("*.hfc"))) == len(cfg.lam_values())
-    glued(W, 3.0)
-    assert calls == [-3.0]
+
+
+def test_glued_family_refuses_a_fiber_outside_its_run(monkeypatch):
+    # mu = 0 and a mu whose fiber -mu the run lacks are refused before
+    # any table is read, whichever row of the batch asks for them
+    res = invert_flag(make_spectrum("tempered", eps=0.4), [1.0, -1.0], GRID)
+    glued = res.spectrum()
+    calls = []
+    monkeypatch.setattr(SampledField, "eval_at",
+                        lambda *args, **kwargs: calls.append(1))
+    W = np.array([[0.3, -0.7], [0.1, 0.2]])
+    for lam, name in (([1.0, 0.0], "lam=0:"), ([-1.0, 0.5], "lam=-0.5:")):
+        with pytest.raises(ValueError, match=f"no fiber at {name}"):
+            glued.derivatives([((0, 0), 1)], W, lam)
+        with pytest.raises(ValueError, match=f"no fiber at {name}"):
+            glued(W, lam)
+    assert calls == []
+    assert glued.clipped_rows == 0
+
+
+@pytest.mark.parametrize("n, count", [(1, 64), (2, 16)])
+def test_glued_derivatives_are_the_limit_of_differences(n, count):
+    # the exact rows against central differences of the glued values, the
+    # mu differences over fibers inverted on their own: the worst gap
+    # falls with the stencil's h^4 and ends well inside the scan's needs.
+    # The pure mu rows stay at the floor of the record's own lam stencil
+    grid = LineGrid(count, 4.0, n)
+    spec = make_spectrum("tempered", n=n, eps=0.4)
+    d = 2 * n
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(12, d))
+    W = u / np.linalg.norm(u, axis=1, keepdims=True) * np.geomspace(0.1, 0.6, 12)[:, None]
+    unit = np.eye(d, dtype=int)
+    zero = (0,) * d
+    indices = [(zero, 1), (zero, 2), (tuple(unit[0]), 0), (tuple(2 * unit[0]), 0),
+               (tuple(unit[0]), 1), (tuple(unit[-1]), 1), (tuple(unit[-1]), 2)]
+    gaps = {0.01: 0.0, 0.005: 0.0}
+    for mu in (1.0, -2.0):
+        glued = invert_flag(spec, [-mu], grid).spectrum()
+        exact = glued.derivatives(indices, W, mu)
+        scale = np.max(np.abs(exact), axis=1)
+        for h in gaps:
+            diff = glued_difference_rows(spec, grid, indices, W, mu, h)
+            rel = np.max(np.abs(diff - exact), axis=1) / scale
+            gaps[h] = max(gaps[h], float(np.max(rel)))
+            if h == 0.005:
+                assert np.all(rel <= 1e-4), (mu, rel)
+        # order 0 is the table's band-limited value, clamped rows included
+        far = np.vstack([W, 40.0 * W[:2]])
+        xi, s = _table_coordinates(far[:, :n], far[:, n:], mu)
+        want = evaluate_symbol(glued.inverse_table(-mu), xi, s, policy="edge")
+        assert np.max(np.abs(glued(far, mu) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert gaps[0.01] >= 10 * gaps[0.005], gaps
 
 
 def count_quantizations(monkeypatch) -> list:
@@ -480,8 +533,9 @@ def test_gramian_lower_bound_on_random_banded_fields():
 def test_reconstructed_inverse_flag_scan_windowed(monkeypatch):
     # table-backed scans stay on the lattice footprint; the far field is
     # covered separately by the closed-form reciprocal family.  The grid
-    # frequency band (N / 4L = 4) must enclose the scan reach plus the
-    # stencil margin at the smallest |lambda| scanned.
+    # frequency band (N / 4L = 4) must enclose the scan reach at the
+    # smallest |lambda| scanned. The scan reads the run's records and
+    # inverts no fiber.
     spec = make_spectrum("perturbed-identity", eps=0.1)
     res = invert_flag(spec, [1.0, -1.0, 2.0, -2.0], LineGrid(64, 4.0))
     L = res.spectrum()
@@ -496,15 +550,18 @@ def test_reconstructed_inverse_flag_scan_windowed(monkeypatch):
         return eval_at(self, *args, **kwargs)
 
     monkeypatch.setattr(SampledField, "eval_at", counted)
+    inversions = count_inversions(monkeypatch)
     rep = flag_estimate_report(
         L, indices=indices, lam_values=[1.0, -1.0, 2.0, -2.0],
         rmin=0.02, rmax=2.0, shells=9, directions=8)
     bad = [r for r in rep.rows if r.verdict != "ok"]
     assert not bad
     assert L.clipped_rows == 0
-    # one batched difference per index and lam: one table evaluation per
-    # lam node of its stencil (6 w-only indices + 3 x 5 nodes, at 4 lam)
-    assert len(calls) <= 84
+    assert inversions == []
+    # one derivatives call per lam, one table evaluation per term of its
+    # jet: every (j, gamma) with j <= 1 and |gamma| <= 3 - j over the two
+    # table coordinates, 10 + 6 terms, at 4 lam
+    assert len(calls) == 64
 
 
 def test_export_artifacts_deterministic(tmp_path):

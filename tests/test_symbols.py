@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from common import GROUPWIDE, LINE64
 from grammar import expression_trees
 from oracles import (
-    CallableSpectrum,
     kn_quantize_dense,
     kn_symbol_dense,
     symbol_interpolant_literal,
@@ -154,41 +153,6 @@ def test_flag_report_serialization_round_trip():
     lines = rep.to_csv().splitlines()
     assert lines[0] == "alpha,beta,lam,sup,verdict"
     assert len(lines) == 1 + len(rep.rows)
-
-
-def test_finite_difference_path_matches_analytic_rows():
-    analytic = make_spectrum("riesz")
-    blind = CallableSpectrum(1, lambda W, lam: analytic(W, lam))
-    kw = dict(indices=[((1, 0), 0), ((0, 1), 1)], lam_values=[1.0, -0.5],
-              rmin=0.1, rmax=10.0, shells=5, directions=6)
-    ra = flag_estimate_report(analytic, **kw)
-    rb = flag_estimate_report(blind, **kw)
-    for x, y in zip(ra.rows, rb.rows):
-        floor = 1e-4 * max(x.shell_sup)  # difference noise floor of the stencil
-        for sa, sb in zip(x.shell_sup, y.shell_sup):
-            assert abs(sa - sb) <= 2e-2 * sa + floor
-    # the base-class differences row by row against the jets, each row
-    # stepped by its own norm and lam; gaps in the scan's normalized units,
-    # against the index's largest value (a pointwise ratio has no bound
-    # where a derivative crosses zero)
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=(40, 2))
-    r = np.geomspace(0.03, 41, 40)
-    W = u / np.linalg.norm(u, axis=1, keepdims=True) * r[:, None]
-    lams = np.resize([0.25, -1.0, 2.0, -8.0], 40)
-    indices = [((1, 0), 0), ((0, 1), 1), ((2, 0), 0), ((1, 1), 1), ((0, 0), 2)]
-    got = blind.derivatives(indices, W, lams)
-    want = analytic.derivatives(indices, W, lams)
-    for (alpha, beta), g, w in zip(indices, got, want):
-        scale = r ** sum(alpha) * (r ** 2 + np.abs(lams)) ** beta
-        gap = np.abs(g - w) * scale
-        assert np.max(gap) <= 1e-4 * np.max(np.abs(w) * scale), (alpha, beta)
-    # lam = 0 leaves no lam step: refused before anything is evaluated
-    calls = []
-    counted = CallableSpectrum(1, lambda W, lam: calls.append(len(W)) or analytic(W, lam))
-    with pytest.raises(ValueError, match="spacing must be positive"):
-        counted.derivatives([((1, 0), 0)], [[0.5, -0.5]], 0.0)
-    assert calls == []
 
 
 def all_indices(dim, alpha_max, beta_max):
