@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import LineGrid
-from .jets import Tape, evaluate, truncation
+from .jets import Tape, evaluate
 from .schrodinger import gramian, hs_norm, save_operator
 from .transform import convolve
 from .symbols import (
@@ -343,11 +343,12 @@ def _table_coordinates(w_xi, w_s, mu: float) -> tuple:
 class ReconstructedSpectrum(Spectrum):
     """Inverse family glued from the per-fiber inverse tables of a run.
 
-    Evaluation at (w, mu) reads the table of the record at -mu through the
-    inverse parabolic frame map. The family is defined at its run's fibers:
-    any other mu, mu = 0 included, raises `ValueError` naming the fiber,
-    and nothing is inverted here. Records that share one B read its table
-    once. Rows outside a table footprint are clamped ("edge") and counted
+    Its jet at (w, mu) reads the table of the record at -mu through the
+    inverse parabolic frame map, and the base class reads the family's
+    values and derivative rows off it. The family is defined at its run's
+    fibers: any other mu, mu = 0 included, raises `ValueError` naming the
+    fiber, and nothing is inverted here. Records that share one B read its
+    table once. Rows outside a table footprint are clamped ("edge") and counted
     in `clipped_rows`; `on_lattice`, which `fiber_symbol` samples through,
     maps and counts one axis at a time.
     """
@@ -369,11 +370,8 @@ class ReconstructedSpectrum(Spectrum):
             self._tables[id(b.matrix)] = (b.matrix, kn_symbol_of(b).values)
         return SymbolGrid(lam, self.grid, self._tables[id(b.matrix)][1])
 
-    def _evaluate(self, W, lam):
-        return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
-
-    def derivatives(self, indices, W, lam):
-        """Rows d_w^alpha d_mu^beta, exact on each table's interpolant.
+    def _jet(self, tr, columns):
+        """Jet at (m,) columns w1..w_{2n}, mu, exact on each table's interpolant.
 
         At one mu the family is T(lam; u) at the table coordinates lam = -mu
         and u = (sgn(mu) w_xi, -w_s) / sqrt|mu| (the inverse frame map), so
@@ -387,46 +385,41 @@ class ReconstructedSpectrum(Spectrum):
         of u less u0 (a `jets` pass) and d^gamma T_j one `eval_at`. u0 is
         `_table_coordinates`, so order 0 is the table's interpolant there.
         """
-        W, lam = self._rows(W, lam)
+        W, lam = np.stack(columns[:-1], axis=1), columns[-1]
         mus = np.unique(lam)
         # every table first: a fiber off the run is refused before evaluating
         tables = {mu: [symbol_field(self.inverse_table(-mu))] for mu in mus}
-        d, beta_max = 2 * self.n, max((b for _, b in indices), default=0)
-        tr = truncation(d, max((sum(a) for a, _ in indices), default=0), beta_max)
+        n, d = self.n, 2 * self.n
+        # the frame map's coordinates w_k / sqrt|mu| and mu, as tape programs
         tape = Tape()
         scale = tape.power(tape.abs(tape.var(d)), -0.5)
-        out = np.empty((len(indices), W.shape[0]), complex)
+        programs = [tape.program(tape.mul(tape.var(k), scale)) for k in range(d)]
+        programs.append(tape.program(tape.var(d)))
+        out = np.empty((tr.size, len(lam)), complex)
         for mu in mus:
             rows = lam == mu
-            if beta_max:
-                fiber = self.fibers[-mu]
-                db = _inverse_derivatives(
-                    fiber, _table_derivatives(self.base, fiber, beta_max), beta_max)
+            if tr.beta_max:
+                db = _inverse_derivatives(self.base, self.fibers[-mu], tr.beta_max)
                 tables[mu] += [symbol_field(kn_symbol_of(FiberOperator(-mu, self.grid, m)))
                                for m in db[1:]]
-            points = np.hstack(_table_coordinates(W[rows, :self.n], W[rows, self.n:], mu))
+            points = np.hstack(_table_coordinates(W[rows, :n], W[rows, n:], mu))
             self.clipped_rows += int(np.sum(tables[mu][0].out_of_footprint(points)))
             # the jets of (u, lam) less their values, and their products
             # du^gamma / gamma!, each from the next lower gamma by one product
-            columns = [*W[rows].T, np.full(len(points), mu)]
-            signs = [np.sign(mu)] * self.n + [-1.0] * self.n
-            du = [sign * evaluate(tape.program(tape.mul(tape.var(k), scale)), tr, columns)
-                  for k, sign in enumerate(signs)]
-            du.append(-evaluate(tape.program(tape.var(d)), tr, columns))
+            coords = [*W[rows].T, np.full(len(points), mu)]
+            du = [(np.sign(mu) if k < n else -1.0) * evaluate(program, tr, coords)
+                  for k, program in enumerate(programs)]
             for x in du:
                 x[0] = 0.0
             powers = {(0,) * (d + 1): np.eye(tr.size, 1)}     # the constant jet 1
             for gamma in sorted(itertools.product(*[range(tr.degree + 1)] * d,
-                                                  range(beta_max + 1)), key=sum):
+                                                  range(tr.beta_max + 1)), key=sum):
                 if 0 < sum(gamma) <= tr.degree:
                     k = max(np.flatnonzero(gamma))
                     lower = gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:]
                     powers[gamma] = tr.mul(powers[lower], du[k]) / gamma[k]
-            jet = sum(tables[mu][gamma[-1]].eval_at(points, "edge", gamma[:-1]) * power
-                      for gamma, power in powers.items())
-            for row, (alpha, beta) in zip(out, indices):
-                k = tr.index[(*alpha, beta)]
-                row[rows] = tr.factorials[k] * jet[k]
+            out[:, rows] = sum(tables[mu][gamma[-1]].eval_at(points, "edge", gamma[:-1])
+                               * power for gamma, power in powers.items())
         return out
 
     def on_lattice(self, axes, lam):
@@ -522,10 +515,11 @@ def _table_derivatives(spec, fiber: Fiber, m_max: int) -> list:
                      for k, total in enumerate(sums, 1)]
 
 
-def _inverse_derivatives(fiber: Fiber, da: list, m_max: int) -> list:
-    """[B, d_lam B, ..., d_lam^m_max B] from the record's B and the list da
-    of `_table_derivatives`, by the Leibniz rule on AB = I:
+def _inverse_derivatives(spec, fiber: Fiber, m_max: int) -> list:
+    """[B, d_lam B, ..., d_lam^m_max B] from the record's B and the family's
+    `_table_derivatives` at the fiber, by the Leibniz rule on AB = I:
     B^(k) = -B sum_{j=1..k} C(k, j) A^(j) B^(k-j). No node is inverted."""
+    da = _table_derivatives(spec, fiber, m_max)
     db = [fiber.b.matrix]
     for k in range(1, m_max + 1):
         db.append(-db[0] @ sum(math.comb(k, j) * da[j] @ db[k - j]
@@ -544,7 +538,6 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     dilation-invariant families land there at every lam.
     """
     lam, grid = fiber.b.lam, fiber.b.grid
-    da = _table_derivatives(spec, fiber, m_max)
     h = H_REL * abs(lam)
     # sigma_min = mant 2^e: sigma_min^2 leaves the float range for families
     # scaled by 1e-170 or 1e200, mant^2 does not, and the power of two
@@ -553,7 +546,7 @@ def lambda_derivative_check(spec, fiber: Fiber, m_max: int = 1) -> list:
     noise = np.ldexp(grid.size * np.finfo(float).eps * (fiber.sigma_min * fiber.cond)
                      / mant ** 2, -2 * e)
     rows = []
-    for k, db in enumerate(_inverse_derivatives(fiber, da, m_max)[1:], 1):
+    for k, db in enumerate(_inverse_derivatives(spec, fiber, m_max)[1:], 1):
         floor = float(noise * np.sum(np.abs(stencil(k)[1])) / h ** k)
         db_norm = float(np.linalg.norm(db, 2))
         # exact: the quantization is linear, so d(symbol) = symbol(d(matrix))

@@ -57,7 +57,7 @@ class Truncation:
                       key=lambda m: (sum(m), m))
         self.index = {m: k for k, m in enumerate(mons)}
         self.size = len(mons)
-        self.degree = alpha_max + beta_max
+        self.degree, self.beta_max = alpha_max + beta_max, beta_max
         # d^m f = m! c_m, with m! the product of the exponent factorials
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in m) for m in mons], dtype=float)

@@ -178,11 +178,13 @@ def evaluate_symbol(a: SymbolGrid, xi: np.ndarray, s: np.ndarray,
 class Spectrum:
     """Symbol family a(w, lam), w in R^{2n}, callable on batched rows.
 
-    Subclasses implement `_evaluate(W, lam)`. A family that is fiber
-    sampled or scanned also implements `on_lattice(axes, lam)`, through
-    which `fiber_symbol` samples every fiber table, and
-    `derivatives(indices, W, lam)`, the rows d_w^alpha d_lam^beta that the
-    flag scans read; both families here compute them exactly, by a jet
+    A family implements `_jet(tr, columns)`, its Taylor jet over the
+    `jets.Truncation` tr at broadcastable columns w1..w_{2n}, lam, shaped
+    (tr.size, *shape); the base class reads `derivatives(indices, W, lam)`,
+    the rows d_w^alpha d_lam^beta that the flag scans read, and the value
+    (order 0) off it. A fiber-sampled family also implements
+    `on_lattice(axes, lam)`, through which `fiber_symbol` samples every
+    fiber table. Both families here compute their jets exactly, by a tape
     pass (`SympySpectrum`) or on a glued table's band-limited interpolant
     (`inversion.ReconstructedSpectrum`). Whether a fiber is Hermitian is a
     property of its quantized matrix, which strict inversion measures, not
@@ -194,40 +196,15 @@ class Spectrum:
             raise ValueError("group rank must be >= 1")
         self.n = n
 
-    def _rows(self, W, lam) -> tuple:
+    def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
+        return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
+
+    def derivatives(self, indices, W, lam) -> np.ndarray:
+        """Rows d_w^alpha d_lam^beta at the rows (W, lam), one per index."""
         W = np.atleast_2d(np.asarray(W, dtype=float))
         if W.shape[1] != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} covariable columns")
-        return W, np.broadcast_to(np.asarray(lam, dtype=float), (W.shape[0],))
-
-    def __call__(self, W: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
-        return self._evaluate(*self._rows(W, lam))
-
-    def _evaluate(self, W: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SympySpectrum(Spectrum):
-    """Symbol family given by an inline expression in w1..w_{2n} and lam.
-
-    It holds the expression's tape of Taylor-jet rules (`heisenflag.jets`),
-    which `kernels.make_spectrum` parses from the text. One pass over the
-    tape yields every derivative d_w^alpha d_lam^beta of a scan at once,
-    and order 0 of the same pass is the family's value. |lam|
-    differentiates to sign(lam): the delta terms of its higher derivatives
-    live on the excluded lam = 0 plane. `derivative(alpha, beta)` returns a
-    cached view onto that evaluator. Despite the name, no computer algebra
-    runs and the package imports none; the test oracles rebuild a symbolic
-    expression from the tape (`tests/oracles.py`).
-    """
-
-    def __init__(self, tape: list, n: int):
-        super().__init__(n)
-        self._tape = tape
-        self._views: dict = {}
-
-    def derivatives(self, indices, W, lam):
-        W, lam = self._rows(W, lam)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), (W.shape[0],))
         return self._jet_rows(indices, [*W.T, lam])
 
     def _jet_rows(self, indices, columns: list) -> np.ndarray:
@@ -236,18 +213,39 @@ class SympySpectrum(Spectrum):
         indices = [(tuple(int(a) for a in alpha), int(beta)) for alpha, beta in indices]
         tr = truncation(2 * self.n, max((sum(a) for a, _ in indices), default=0),
                         max((b for _, b in indices), default=0))
-        # rows off the family's domain come out NaN or inf, and the scans
-        # report them `non-finite`; numpy need not warn about each one
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            jet = evaluate(self._tape, tr, columns)
+        jet = self._jet(tr, columns)
         out = np.empty((len(indices), *jet.shape[1:]), complex)
         for row, (alpha, beta) in zip(out, indices):
             k = tr.index[(*alpha, beta)]
             np.multiply(tr.factorials[k], jet[k], out=row)
         return out
 
-    def _evaluate(self, W, lam):
-        return self.derivatives([((0,) * 2 * self.n, 0)], W, lam)[0]
+    def _jet(self, tr, columns: list) -> np.ndarray:
+        raise NotImplementedError
+
+
+class SympySpectrum(Spectrum):
+    """Symbol family given by an inline expression in w1..w_{2n} and lam.
+
+    It holds the expression's tape of Taylor-jet rules (`heisenflag.jets`),
+    which `kernels.make_spectrum` parses from the text, and its jet is one
+    pass over that tape: every derivative d_w^alpha d_lam^beta of a scan at
+    once, with order 0 the family's value. |lam| differentiates to
+    sign(lam): the delta terms of its higher derivatives live on the
+    excluded lam = 0 plane. Despite the name, no computer algebra runs and
+    the package imports none; the test oracles rebuild a symbolic
+    expression from the tape (`tests/oracles.py`).
+    """
+
+    def __init__(self, tape: list, n: int):
+        super().__init__(n)
+        self._tape = tape
+
+    def _jet(self, tr, columns):
+        # rows off the family's domain come out NaN or inf, and the scans
+        # report them `non-finite`; numpy need not warn about each one
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return evaluate(self._tape, tr, columns)
 
     def on_lattice(self, axes, lam):
         """One jet pass over the axes as broadcast columns: each
@@ -258,25 +256,8 @@ class SympySpectrum(Spectrum):
                    for i, ax in enumerate(axes)]
         return self._jet_rows([((0,) * d, 0)], [*columns, lam])[0].reshape(-1)
 
-    def derivative(self, alpha: Sequence[int], beta: int) -> Spectrum:
-        alpha, beta = tuple(int(a) for a in alpha), int(beta)
-        if not any(alpha) and not beta:
-            return self
-        view = self._views.get((alpha, beta))
-        if view is None:
-            view = self._views[alpha, beta] = _DerivativeView(self, alpha, beta)
-        return view
-
-
-class _DerivativeView(Spectrum):
-    """d_w^alpha d_lam^beta of a `SympySpectrum`, read off its jet pass."""
-
-    def __init__(self, family: SympySpectrum, alpha: tuple, beta: int):
-        super().__init__(family.n)
-        self._family, self._index = family, (alpha, beta)
-
-    def _evaluate(self, W, lam):
-        return self._family.derivatives([self._index], W, lam)[0]
+    def derivative(self, alpha: Sequence[int], beta: int):
+        return lambda W, lam: self.derivatives([(alpha, beta)], W, lam)[0]
 
 
 # -- fiber sampling ------------------------------------------------------------
@@ -448,6 +429,11 @@ def flag_estimate_report(spec: Spectrum,
     pts = np.stack([_shell_points(spec.n, r, directions) for r in radii])
     r = np.linalg.norm(pts, axis=2)
     indices, lam_values = list(indices), list(lam_values)
+    # a bounded row may legitimately dwarf the mid shells when its plateau
+    # sets in late (around ||w||^2 ~ |lam|), so a flag also needs the
+    # endmost shells to still be climbing, by at least one radius step
+    step = np.sqrt(radii[1] / radii[0])
+    shell_radii = tuple(float(r) for r in radii)
     # one derivatives call per lam gives every index; rows stay ordered by index
     table = np.empty((len(indices), len(lam_values), shells))
     for j, lam in enumerate(lam_values):
@@ -464,10 +450,6 @@ def flag_estimate_report(spec: Spectrum,
             # mid radius must not trip the ratio test
             core = sups[len(sups) // 3:2 * len(sups) // 3 + 1]
             ref = max(max(core), 1e-300)
-            # a bounded row may legitimately dwarf the mid shells when its
-            # plateau sets in late (around ||w||^2 ~ |lam|), so a flag also
-            # needs the endmost shells to still be climbing
-            step = np.sqrt(radii[1] / radii[0])
             finite = bool(np.all(np.isfinite(sups)))
             flags = [] if finite else ["non-finite"]
             if finite and (sups[0] >= blowup_factor * ref and sups[0] > 1e-12
@@ -478,7 +460,7 @@ def flag_estimate_report(spec: Spectrum,
                 flags.append("growth-at-infinity")
             report.rows.append(SeminormRow(
                 alpha=tuple(alpha), beta=int(beta), lam=float(lam),
-                shell_radii=tuple(float(r) for r in radii),
+                shell_radii=shell_radii,
                 shell_sup=tuple(sups),
                 verdict="+".join(flags) if flags else "ok",
             ))

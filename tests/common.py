@@ -3,6 +3,8 @@ heisenflag.checks."""
 
 import tracemalloc
 
+import numpy as np
+
 from heisenflag.grids import LineGrid, group_grid, self_dual_line
 
 # accuracy grid: balanced Gaussians have periodization floor ~ e^{-8 pi}
@@ -29,3 +31,15 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def assert_rows_read_off_one_jet(spec, W, lams):
+    """spec(W, lams) is the order-0 row of `derivatives` bit for bit, and a
+    permuted index list with a duplicate gives the same rows in its order."""
+    rest = (0,) * (2 * spec.n - 1)
+    zero = ((0, *rest), 0)
+    np.testing.assert_array_equal(spec(W, lams), spec.derivatives([zero], W, lams)[0])
+    indices = [zero, ((1, *rest), 1), ((2, *rest), 0), ((0, *rest), 1)]
+    rows = spec.derivatives(indices, W, lams)
+    again = spec.derivatives([indices[k] for k in (3, 1, 1, 0, 2)], W, lams)
+    np.testing.assert_array_equal(again, rows[[3, 1, 1, 0, 2]])

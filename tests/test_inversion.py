@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from common import GROUP32
+from common import GROUP32, assert_rows_read_off_one_jet
 from oracles import glued_difference_rows, node_inverse_derivative
 
 from heisenflag.checks import random_field
@@ -19,13 +19,13 @@ from heisenflag.inversion import (
     SymmetryError,
     _inverse_derivatives,
     _table_coordinates,
-    _table_derivatives,
     derivative_report,
     gramian_lower_bound,
     invert_fiber,
     invert_flag,
     lambda_derivative_check,
     neumann_inverse,
+    stencil,
     uniform_invertibility_report,
     verify_inverse,
 )
@@ -360,6 +360,14 @@ def test_glued_derivatives_are_the_limit_of_differences(n, count):
     assert gaps[0.01] >= 10 * gaps[0.005], gaps
 
 
+def test_glued_value_is_order_zero_of_its_rows():
+    # rows that mix several mu, each fiber's own table and Leibniz rows
+    res = invert_flag(make_spectrum("tempered", eps=0.4), [1.0, -1.0, 2.0], GRID)
+    glued = res.spectrum()
+    W = np.random.default_rng(2).uniform(-0.8, 0.8, size=(12, 2))
+    assert_rows_read_off_one_jet(glued, W, np.resize([-1.0, 1.0, -2.0], 12))
+
+
 def count_quantizations(monkeypatch) -> list:
     calls = []
 
@@ -469,7 +477,7 @@ def test_leibniz_derivatives_match_node_inverses(n, count):
     grid = LineGrid(count, 4.0, n)
     res = invert_flag(temp, [0.5, -1.0, 2.0], grid)
     for lam, fiber in res.fibers.items():
-        derived = _inverse_derivatives(fiber, _table_derivatives(temp, fiber, 3), 3)
+        derived = _inverse_derivatives(temp, fiber, 3)
         for order in (1, 2, 3):
             ref = node_inverse_derivative(temp, lam, grid, order)["db"]
             gap = np.linalg.norm(derived[order] - ref, 2)
@@ -576,3 +584,48 @@ def test_export_artifacts_deterministic(tmp_path):
     for p in files:
         q = tmp_path / "b" / p.name
         assert p.read_bytes() == q.read_bytes()
+
+
+def test_stencil_first_derivative_classic_weights():
+    off, w = stencil(1)
+    np.testing.assert_array_equal(off, [-2, -1, 0, 1, 2])
+    np.testing.assert_allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12], atol=1e-14)
+
+
+def test_stencil_weights_are_exactly_parity_symmetric():
+    # odd orders weigh the center by exactly zero, not by rounding residue
+    assert stencil(1)[1][2] == 0.0
+    assert stencil(3)[1][3] == 0.0
+    for order in range(1, 7):
+        w = stencil(order)[1]
+        np.testing.assert_array_equal(w, (-1) ** order * w[::-1])
+
+
+def test_stencil_moment_conditions():
+    from math import factorial
+
+    for order in range(1, 5):
+        off, w = stencil(order)
+        # exact on monomials up to the stencil length
+        for k in range(len(off)):
+            target = 1.0 if k == order else 0.0
+            got = np.sum(w * off.astype(float) ** k) / factorial(k)
+            assert abs(got - target) < 1e-10
+
+
+def test_stencil_rejects_bad_requests():
+    with pytest.raises(ValueError):
+        stencil(-1)
+
+
+def test_fourth_order_convergence():
+    x = np.array([0.3, 0.9])
+    exact = -27.0 * np.cos(3.0 * x)
+    off, w = stencil(3)
+
+    def diff(h):
+        return sum(wk * np.sin(3.0 * (x + o * h)) for o, wk in zip(off, w)) / h ** 3
+
+    e1 = np.max(np.abs(diff(0.08) - exact))
+    e2 = np.max(np.abs(diff(0.04) - exact))
+    assert e1 / e2 > 12.0  # ~16x for a 4th-order rule

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from common import GROUPWIDE, LINE64
+from common import GROUPWIDE, LINE64, assert_rows_read_off_one_jet
 from grammar import expression_trees
 from oracles import (
     kn_quantize_dense,
@@ -23,6 +23,7 @@ from heisenflag.grids import LineGrid, flat_coords, self_dual_line
 from heisenflag.schrodinger import hs_norm, pi_field
 from heisenflag.symbols import (
     FiberOperator,
+    Spectrum,
     SymbolGrid,
     evaluate_symbol,
     fiber_axes,
@@ -177,8 +178,8 @@ def assert_jets_match(spec, indices, W, lams):
         assert np.max(np.abs(row - want)) <= 1e-12 * scale, (alpha, beta)
 
 
-def test_derivative_views_match_direct_diff():
-    # the order-3 benchmark family, one cached view per index
+def test_derivative_rows_match_direct_diff():
+    # the order-3 benchmark family, one `derivative` per index
     spec = make_spectrum(
         "expr: 1/(1 + 0.1*(w1^2 + w2^2)/(w1^2 + w2^2 + abs(lam)))")
     W, lams = signed_rows(np.random.default_rng(64), 40, 2)
@@ -188,8 +189,46 @@ def test_derivative_views_match_direct_diff():
         want = oracle[index](W, lams)
         got = spec.derivative(*index)(W, lams)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
-    assert spec.derivative((0, 0), 0) is spec
-    assert spec.derivative((1, 2), 1) is spec.derivative([1, 2], 1)  # cached
+
+
+class LinearFamily(Spectrum):
+    """w1 + lam, a family that implements nothing but its jet: the value
+    and two unit coefficients."""
+
+    def _jet(self, tr, columns):
+        jet = np.zeros((tr.size, *np.broadcast_shapes(*map(np.shape, columns))))
+        jet[0] = columns[0] + columns[-1]
+        for var in (0, 2 * self.n):
+            k = tr.index.get(tuple(int(i == var) for i in range(2 * self.n + 1)))
+            if k is not None:
+                jet[k] = 1.0
+        return jet
+
+
+def test_a_family_needs_only_its_jet():
+    spec = LinearFamily(1)
+    W, lams = signed_rows(np.random.default_rng(69), 10, 2)
+    value = W[:, 0] + lams
+    np.testing.assert_array_equal(spec(W, lams), value)
+    # any order, duplicates included, one row each
+    indices = [((1, 0), 0), ((0, 0), 1), ((0, 0), 0), ((1, 0), 0),
+               ((0, 1), 0), ((0, 0), 2), ((1, 0), 1), ((0, 0), 1)]
+    got = spec.derivatives(indices, W, lams)
+    assert got.shape == (len(indices), len(W)) and got.dtype == complex
+    for row, want in zip(got, [1.0, 1.0, value, 1.0, 0.0, 0.0, 0.0, 1.0]):
+        np.testing.assert_array_equal(row, np.broadcast_to(want, row.shape))
+    # and a flag scan: the unit rows grow against their weights ||w|| and
+    # ||w||^2 + |lam| at infinity, the zero rows are bounded
+    rep = flag_estimate_report(spec, shells=7, directions=6)
+    assert len(rep.rows) == 7 * 14
+    for r in rep.rows:
+        grows = (r.alpha, r.beta) in {((0, 0), 1), ((1, 0), 0)}
+        assert r.verdict == ("growth-at-infinity" if grows else "ok"), r
+
+
+def test_value_is_order_zero_of_the_rows():
+    W, lams = signed_rows(np.random.default_rng(70), 30, 2)
+    assert_rows_read_off_one_jet(make_spectrum("tempered"), W, lams)
 
 
 def test_jets_match_sympy_on_catalog_kernels():
