@@ -25,14 +25,16 @@ Two routes are kept:
       omega(s, x') = |lam|^{-n/2} (F2^{-1} F3^{-1} f)(sgn(lam)(x'-s)/sqrt|lam|,
                                                       sqrt|lam| s, lam),
 
-  evaluated by partial transforms plus band-limited interpolation, with
-  out-of-footprint queries zeroed (correct for decaying spectra).
+  evaluated by a partial transform and one separable mode sum, x' - s
+  folded into the state circle by whole periods under ``policy="wrap"``
+  and out-of-footprint queries zeroed (correct for decaying spectra).
 
 All pairings are bilinear: C(h) = int (pi_h f)(s) g(s) ds, no conjugation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,34 +206,31 @@ def _pi_kernel(g2: np.ndarray, lam: float, fgrid: Grid, grid: LineGrid,
         bad_s = np.any(np.abs(root * s_flat) > ymax, axis=1)
         g2[:, bad_s] = 0.0
     # x-side spectrum of g2, then band-limited evaluation at
-    # u = sgn(lam) (x' - s) / sqrt|lam|.
+    # u = sgn(lam) (x' - s) / sqrt|lam|, a mode sum that factors over (s, x')
     spec = centered_dft(g2.reshape((Nv,) * n + (-1,)), tuple(range(n)))
     spec = spec.reshape(Nv ** n, -1) * fgrid.axes[0].spacing ** n
     xi = flat_coords([ax.freqs() for ax in fgrid.x_axes])  # horizontal dual lattice
-    L = fgrid.axes[0].half_width
-    if policy == "zero":
-        # separable phases: the mode sum factors over (s, x') rows/columns
-        sdotxi = np.sign(lam) / root * (s_flat @ xi.T)  # (size, Nv^n)
-        row_phase = np.exp(-2j * np.pi * sdotxi)
-        col_phase = np.exp(+2j * np.pi * sdotxi)
-        M = fgrid.axes[0].freq_spacing ** n * ((row_phase * spec.T) @ col_phase.T)
-        u = np.abs(s_flat[None, :, :] - s_flat[:, None, :]) / root
-    else:
-        # fold the displacement into the state circle first, so wrap terms
-        # land where the quadrature route puts them
-        period = 2.0 * grid.half_width
-        d = s_flat[None, :, :] - s_flat[:, None, :]
-        d = (d + period / 2.0) % period - period / 2.0
-        u_signed = np.sign(lam) / root * d  # (size, size, n)
-        # one horizontal mode at a time: the (size, size, Nv^n) phase
-        # cube grows as size^2 Nv^n
-        M = np.zeros((grid.size, grid.size), dtype=complex)
-        for mode, row in zip(xi, spec):
-            M += row[:, None] * np.exp(2j * np.pi * (u_signed @ mode))
-        M *= fgrid.axes[0].freq_spacing ** n
-        u = np.abs(u_signed)
-    # either way the x-argument must stay on the field footprint
-    M[np.any(u > L, axis=2)] = 0.0
+    # wrap folds x' - s by r whole periods P onto the state circle, where the
+    # quadrature route puts it; fold r0 shifts mode xi by e^{-2 pi i c P r0.xi}
+    period = 2.0 * grid.half_width
+    d = s_flat.T[:, None, :] - s_flat.T[:, :, None]  # [k, s, x'] -> (x' - s)_k
+    wrap = policy == "wrap"
+    r = np.floor(d / period + 0.5).astype(np.int8) if wrap else np.zeros(d.shape, np.int8)
+    d -= period * r
+    c = np.sign(lam) / root
+    sdotxi = c * (s_flat @ xi.T)  # (size, Nv^n)
+    row_phase = np.exp(-2j * np.pi * sdotxi) * spec.T
+    col_phase = np.exp(+2j * np.pi * sdotxi)
+    del sdotxi, spec
+    kick = -2j * np.pi * c * period * xi
+    M = np.empty((grid.size, grid.size), dtype=complex)
+    for r0 in (itertools.product((-1, 0, 1), repeat=n) if wrap else [(0,) * n]):
+        if (hit := np.all(r == np.reshape(r0, (n, 1, 1)), axis=0)).any():
+            rows = row_phase * np.exp(kick @ r0) if any(r0) else row_phase
+            np.copyto(M, rows @ col_phase.T, where=hit)
+    M *= fgrid.axes[0].freq_spacing ** n
+    # the x-argument (x' - s) / sqrt|lam| must stay on the field footprint
+    M[np.any(np.abs(d) / root > fgrid.axes[0].half_width, axis=0)] = 0.0
     M *= abs(lam) ** (-n / 2)
     return FiberOperator(lam, grid, grid.weight * M)
 

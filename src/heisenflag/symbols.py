@@ -180,12 +180,12 @@ class Spectrum:
 
     A family implements `_jet(tr, columns)`, its Taylor jet over the
     `jets.Truncation` tr at broadcastable columns w1..w_{2n}, lam, shaped
-    (tr.size, *shape); the base class reads `derivatives(indices, W, lam)`,
-    the rows d_w^alpha d_lam^beta that the flag scans read, and the value
-    (order 0) off it. A fiber-sampled family also implements
-    `on_lattice(axes, lam)`, through which `fiber_symbol` samples every
-    fiber table. Both families here compute their jets exactly, by a tape
-    pass (`SympySpectrum`) or on a glued table's band-limited interpolant
+    (tr.size, *shape); the base class reads off it the rows d_w^alpha
+    d_lam^beta that the flag scans read (`derivatives`), the value (order
+    0) and the fiber tables `fiber_symbol` samples (`on_lattice`, one jet
+    pass over broadcast axis columns; only a family whose `_jet` takes rows
+    alone overrides it). Both families here compute their jets exactly, by
+    a tape pass (`SympySpectrum`) or on a glued table's band-limited interpolant
     (`inversion.ReconstructedSpectrum`). Whether a fiber is Hermitian is a
     property of its quantized matrix, which strict inversion measures, not
     of the family.
@@ -220,6 +220,15 @@ class Spectrum:
             np.multiply(tr.factorials[k], jet[k], out=row)
         return out
 
+    def on_lattice(self, axes, lam):
+        """One jet pass over the axes as broadcast columns: a tape family
+        runs each instruction on the axes it depends on, and fills the
+        lattice once, at the root."""
+        d = len(axes)
+        columns = [np.reshape(ax, (1,) * i + (-1,) + (1,) * (d - 1 - i))
+                   for i, ax in enumerate(axes)]
+        return self._jet_rows([((0,) * d, 0)], [*columns, lam])[0].reshape(-1)
+
     def _jet(self, tr, columns: list) -> np.ndarray:
         raise NotImplementedError
 
@@ -246,15 +255,6 @@ class SympySpectrum(Spectrum):
         # report them `non-finite`; numpy need not warn about each one
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return evaluate(self._tape, tr, columns)
-
-    def on_lattice(self, axes, lam):
-        """One jet pass over the axes as broadcast columns: each
-        instruction runs on the axes it depends on, and the lattice is
-        filled once, at the root."""
-        d = len(axes)
-        columns = [np.reshape(ax, (1,) * i + (-1,) + (1,) * (d - 1 - i))
-                   for i, ax in enumerate(axes)]
-        return self._jet_rows([((0,) * d, 0)], [*columns, lam])[0].reshape(-1)
 
     def derivative(self, alpha: Sequence[int], beta: int):
         return lambda W, lam: self.derivatives([(alpha, beta)], W, lam)[0]

@@ -199,6 +199,35 @@ def pi_field_quadrature_dense(field: SampledField, lam: float,
     return FiberOperator(lam, grid, vw * mat)
 
 
+def pi_kernel_by_modes(field: SampledField, lam: float, grid: LineGrid,
+                       policy: str) -> FiberOperator:
+    """Kernel route of `pi_field` as its mode sum, one horizontal mode at a
+    time: M[s, x'] = Dxi^n sum_xi spec(xi, s) e^{2 pi i sgn(lam) (x' - s).xi / sqrt|lam|},
+    x' - s taken mod the state period under wrap and zeroed where
+    |x' - s| / sqrt|lam| leaves the field footprint."""
+    fgrid = field.grid
+    n, Nv = fgrid.n, fgrid.axes[0].count
+    s_flat = grid.flat_points()
+    root = np.sqrt(abs(lam))
+    g2 = _lambda_slice(central_slice(field, lam), lam, fgrid, s_flat)  # (Nv^n, size)
+    if policy == "zero":
+        g2[:, np.any(np.abs(root * s_flat) > fgrid.axes[0].freq_half_width, axis=1)] = 0.0
+    spec = centered_dft_shifted(g2.reshape((Nv,) * n + (-1,)), tuple(range(n)))
+    spec = spec.reshape(Nv ** n, -1) * fgrid.axes[0].spacing ** n
+    xi = flat_coords([ax.freqs() for ax in fgrid.x_axes])
+    d = s_flat[None, :, :] - s_flat[:, None, :]  # [s, x'] -> x' - s
+    if policy == "wrap":
+        period = 2.0 * grid.half_width
+        d = (d + period / 2.0) % period - period / 2.0
+    u_signed = np.sign(lam) / root * d
+    M = np.zeros((grid.size, grid.size), dtype=complex)
+    for mode, row in zip(xi, spec):
+        M += row[:, None] * np.exp(2j * np.pi * (u_signed @ mode))
+    M *= fgrid.axes[0].freq_spacing ** n
+    M[np.any(np.abs(d) / root > fgrid.axes[0].half_width, axis=2)] = 0.0
+    return FiberOperator(lam, grid, grid.weight * abs(lam) ** (-n / 2) * M)
+
+
 def kn_symbol_dense(matrix: np.ndarray, grid: LineGrid) -> np.ndarray:
     """Symbol table a(xi, s) of a fiber matrix by the inverse phase products,
     a(xi, s) = e^{-2 pi i xi.s} sum_x' e^{2 pi i xi.x'} matrix[s, x']."""

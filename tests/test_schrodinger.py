@@ -8,6 +8,7 @@ from oracles import (
     c_fun_shift_loop,
     gauss_c_fun_closed_form,
     pi_field_quadrature_dense,
+    pi_kernel_by_modes,
     pi_point_matrix,
     pi_point_matrix_dense,
 )
@@ -86,6 +87,20 @@ def test_fiber_matrices_match_dense_dft_oracles(fgrid, grid):
             gap = FiberOperator(lam, grid, got.matrix - want.matrix)
             assert hs_norm(gap) <= 1e-13 * hs_norm(want)
             assert got.lam == lam
+
+
+@pytest.mark.parametrize("policy", ["zero", "wrap"])
+@pytest.mark.parametrize("fgrid,grid", QUANT_CASES, ids=QUANT_IDS)
+def test_kernel_route_matches_its_mode_sum(fgrid, grid, policy):
+    # at n = 2 the wrap folds of the two axes combine, up to 9 products
+    rng = np.random.default_rng(72)
+    f = SampledField(fgrid, rng.standard_normal(fgrid.shape)
+                     + 1j * rng.standard_normal(fgrid.shape))
+    for lam in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
+        got = pi_field(f, lam, grid, "kernel", policy)
+        want = pi_kernel_by_modes(f, lam, grid, policy)
+        gap = FiberOperator(lam, grid, got.matrix - want.matrix)
+        assert hs_norm(gap) <= 1e-13 * hs_norm(want)
 
 
 def test_pi_point_rejects_zero_lambda():

@@ -224,6 +224,12 @@ def test_a_family_needs_only_its_jet():
     for r in rep.rows:
         grows = (r.alpha, r.beta) in {((0, 0), 1), ((1, 0), 0)}
         assert r.verdict == ("growth-at-infinity" if grows else "ok"), r
+    # and its fiber tables, w1 + lam at (-sgn(lam) sqrt|lam| xi_i, -lam)
+    grid = LineGrid(8, 2.0)
+    for lam in (0.5, -0.5):
+        want = -np.sign(lam) * np.sqrt(abs(lam)) * grid.freqs() - lam
+        np.testing.assert_array_equal(fiber_symbol(spec, lam, grid).values,
+                                      np.broadcast_to(want[:, None], (8, 8)))
 
 
 def test_value_is_order_zero_of_the_rows():

@@ -157,8 +157,8 @@ def test_group_field_memory_in_field_sizes():
 
 
 def test_wrap_route_builds_no_phase_cube():
-    # the (size, size, Nv^n) phase cube of the wrap policy was Nv = 64
-    # state matrices; either policy now peaks at about 7
+    # the bound keeps the kernel route off a (size, size, Nv^n) table of
+    # mode phases, Nv = 64 state matrices here; either policy peaks at 6 to 7
     state = self_dual_line(64)
     f = random_field(GROUPWIDE, np.random.default_rng(42))
     matrix = 16 * state.size ** 2
